@@ -8,7 +8,8 @@ import (
 // TestBlockSizeUShape verifies the trade-off behind the paper's fig. 4
 // (right): for a fixed payload, growing the block size first reduces
 // service time (fewer per-block operations) and then increases it
-// (whole blocks are transferred even when mostly empty).
+// (whole blocks are transferred even when mostly empty). The fsync each
+// Sync adds costs the same at every block size.
 func TestBlockSizeUShape(t *testing.T) {
 	const payload = 6 * 1024 // a mid-size group-commit batch
 	busyFor := func(block int) time.Duration {
@@ -19,7 +20,7 @@ func TestBlockSizeUShape(t *testing.T) {
 			PerByte:       30 * time.Nanosecond, // transfer cost
 			Seed:          1,
 		})
-		d.WriteBytes(payload)
+		writeSync(t, d, payload)
 		return d.Stats().BusyTime
 	}
 	small := busyFor(1 * 1024)  // 6 ops, no padding
@@ -39,7 +40,7 @@ func TestWaitersGauge(t *testing.T) {
 	d := New(Config{MedianLatency: 5 * time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 1})
 	done := make(chan struct{})
 	go func() {
-		d.Fsync()
+		d.Sync()
 		close(done)
 	}()
 	// While the op is in service, Waiters includes it.

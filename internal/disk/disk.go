@@ -49,11 +49,12 @@ type Config struct {
 	// while waiting, so it is opt-in and meant for near-zero-latency
 	// benchmark devices only.
 	PreciseWait bool
-	// Faults attaches a deterministic fault plan and turns the device
-	// into a fault-capable, byte-recording device: the WAL then writes
-	// real framed bytes through WriteData/Sync, and the plan injects
-	// transient I/O errors, dropped fsyncs, stalls, and the machine
-	// crash point (see fault.go). Nil keeps the latency-only device.
+	// Faults attaches a deterministic fault plan: the device then keeps
+	// the bytes WriteData is given, for the image accessors to read
+	// back, and the plan injects transient I/O errors, dropped fsyncs,
+	// stalls, and the machine crash point (see fault.go). Nil gives a
+	// fault-free device that counts written bytes but does not keep
+	// them, so its memory stays bounded; its image accessors panic.
 	Faults *faultfs.Plan
 	// Seed seeds the latency sampler.
 	Seed int64
@@ -102,6 +103,9 @@ type Sim struct {
 	blocks atomic.Int64
 	busyNs atomic.Int64
 
+	// cached counts the bytes written since the last Sync, which
+	// charges their blocks.
+	cached atomic.Int64
 	// Fault-mode byte store (see fault.go); nil unless cfg.Faults set.
 	fs *faultState
 }
@@ -131,28 +135,6 @@ func (d *Sim) Config() Config { return d.cfg }
 // Waiters returns the number of requests currently queued or in service.
 // Parallel logging uses this to pick the less-loaded log device.
 func (d *Sim) Waiters() int { return int(atomic.LoadInt32(&d.waiters)) }
-
-// WriteBytes performs a buffered write of n bytes: the data is rounded
-// up to whole blocks, each block is a separate I/O operation paying the
-// per-op service time, and every block transfers BlockSize bytes even if
-// the payload only fills part of it. This is the trade-off behind the
-// paper's fig. 4 (right): larger blocks mean fewer operations per
-// transaction, but once log records occupy only a small part of a block,
-// the wasted transfer outweighs the savings. Returns the time spent
-// (service + queueing).
-func (d *Sim) WriteBytes(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	blocks := (n + d.cfg.BlockSize - 1) / d.cfg.BlockSize
-	return d.serve(blocks, blocks, blocks*d.cfg.BlockSize)
-}
-
-// Fsync flushes the device cache: a single operation with the device's
-// full latency profile. This is the expensive call on the commit path.
-func (d *Sim) Fsync() time.Duration {
-	return d.serve(1, 0, 0)
-}
 
 // ReadBlock reads one block (a buffer-pool miss).
 func (d *Sim) ReadBlock() time.Duration {

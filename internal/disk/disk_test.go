@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vats/internal/faultfs"
+	"vats/internal/xrand"
 )
 
 func fastConfig() Config {
@@ -26,36 +27,96 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestWriteBytesRoundsToBlocks(t *testing.T) {
-	d := New(fastConfig())
-	d.WriteBytes(1) // 1 byte -> 1 block
-	d.WriteBytes(4097)
-	st := d.Stats()
-	if st.BlocksDone != 3 {
-		t.Fatalf("blocks = %d, want 3 (1 + 2)", st.BlocksDone)
+// writeSync writes n bytes and syncs them: the WAL's commit-path pair.
+func writeSync(t *testing.T, d *Sim, n int) {
+	t.Helper()
+	if err := d.WriteData(make([]byte, n)); err != nil {
+		t.Fatal(err)
 	}
-	if st.BytesDone != 3*4096 {
-		t.Fatalf("bytes = %d, want %d (whole blocks transferred)", st.BytesDone, 3*4096)
-	}
-	if st.Ops != 3 {
-		t.Fatalf("ops = %d, want 3 (one per block)", st.Ops)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestWriteBytesZeroIsFree(t *testing.T) {
+func TestSyncChargesWrittenBlocks(t *testing.T) {
 	d := New(fastConfig())
-	if d.WriteBytes(0) != 0 {
-		t.Fatal("zero-byte write should be free")
+	writeSync(t, d, 1) // 1 byte -> 1 block
+	writeSync(t, d, 4097)
+	// Two writes cached before one Sync are charged as one request.
+	d.WriteData(make([]byte, 4000))
+	d.WriteData(make([]byte, 4000))
+	d.Sync()
+	st := d.Stats()
+	if st.BlocksDone != 5 {
+		t.Fatalf("blocks = %d, want 5 (1 + 2 + 2)", st.BlocksDone)
 	}
-	if d.Stats().Ops != 0 {
-		t.Fatal("zero-byte write should not count")
+	if st.BytesDone != 5*4096 {
+		t.Fatalf("bytes = %d, want %d (whole blocks transferred)", st.BytesDone, 5*4096)
 	}
+	if st.Ops != 5+3 {
+		t.Fatalf("ops = %d, want 8 (one per block plus one per fsync)", st.Ops)
+	}
+}
+
+func TestWriteDataIsFree(t *testing.T) {
+	d := New(fastConfig())
+	for _, n := range []int{0, 1, 1 << 20} {
+		if err := d.WriteData(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Stats().Ops != 0 || d.Stats().BusyTime != 0 {
+		t.Fatalf("cache writes charged the device: %+v", d.Stats())
+	}
+	d.Sync()
+	if d.Stats().Ops == 0 {
+		t.Fatal("Sync did not charge the cached bytes")
+	}
+	// Nothing cached: Sync is the fsync alone; a zero-byte write adds
+	// no block.
+	before := d.Stats()
+	writeSync(t, d, 0)
+	if got := d.Stats(); got.Ops-before.Ops != 1 || got.BlocksDone != before.BlocksDone {
+		t.Fatalf("empty Sync charged %d ops / %d blocks, want 1 / 0",
+			got.Ops-before.Ops, got.BlocksDone-before.BlocksDone)
+	}
+}
+
+func TestSyncChargesBlocksThenFsync(t *testing.T) {
+	// The cached blocks are one device request and the fsync a second,
+	// in that order: the latency samples are drawn block request first.
+	cfg := fastConfig()
+	cfg.Sigma = 0.5
+	cfg.Seed = 7
+	d := New(cfg)
+	writeSync(t, d, 5000) // 2 blocks
+	lat := xrand.NewLogNormal(xrand.New(cfg.Seed),
+		float64(cfg.MedianLatency)/float64(time.Millisecond), cfg.Sigma, cfg.TailP, cfg.TailX)
+	blocks := time.Duration(2*lat.Sample()*float64(time.Millisecond)) + 2*4096*cfg.PerByte
+	fsync := time.Duration(lat.Sample() * float64(time.Millisecond))
+	if got, want := d.Stats().BusyTime, blocks+fsync; got != want {
+		t.Fatalf("busy = %v, want %v (blocks %v, then fsync %v)", got, want, blocks, fsync)
+	}
+}
+
+func TestNoPlanDoesNotKeepBytes(t *testing.T) {
+	d := New(fastConfig())
+	writeSync(t, d, 1<<20)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DurableImage without a fault plan should panic")
+		}
+	}()
+	d.DurableImage()
 }
 
 func TestFsyncTakesTime(t *testing.T) {
 	d := New(fastConfig())
-	dur := d.Fsync()
-	if dur <= 0 {
+	start := time.Now()
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) <= 0 || d.Stats().BusyTime <= 0 {
 		t.Fatal("fsync reported no elapsed time")
 	}
 	if d.Stats().Ops != 1 {
@@ -76,7 +137,7 @@ func TestSerialization(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.Fsync()
+			d.Sync()
 		}()
 	}
 	wg.Wait()
@@ -118,8 +179,9 @@ func TestBlockSizeAmplification(t *testing.T) {
 	// payload is small. This is the mechanism behind fig. 4 (right).
 	small := New(Config{MedianLatency: 20 * time.Microsecond, BlockSize: 1024, PerByte: 100 * time.Nanosecond, Seed: 1})
 	big := New(Config{MedianLatency: 20 * time.Microsecond, BlockSize: 64 * 1024, PerByte: 100 * time.Nanosecond, Seed: 1})
-	small.WriteBytes(100)
-	big.WriteBytes(100)
+	for _, d := range []*Sim{small, big} {
+		writeSync(t, d, 100)
+	}
 	if small.Stats().BusyTime >= big.Stats().BusyTime {
 		t.Errorf("big-block write should cost more for tiny payloads: small=%v big=%v",
 			small.Stats().BusyTime, big.Stats().BusyTime)
@@ -144,12 +206,20 @@ func TestConcurrentStatsConsistency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				d.WriteBytes(100)
+				d.WriteData(make([]byte, 100))
+				d.Sync()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := d.Stats().Ops; got != 20 {
-		t.Fatalf("ops = %d, want 20", got)
+	// Concurrent Syncs may share one another's cached bytes, so the
+	// block count varies (each non-empty Sync holds < 1 block), but
+	// every counter must agree with it.
+	st := d.Stats()
+	if st.BlocksDone < 1 || st.BlocksDone > 20 {
+		t.Fatalf("blocks = %d, want 1..20", st.BlocksDone)
+	}
+	if st.Ops != 20+st.BlocksDone || st.BytesDone != st.BlocksDone*4096 {
+		t.Fatalf("ops=%d bytes=%d inconsistent with 20 fsyncs + %d blocks", st.Ops, st.BytesDone, st.BlocksDone)
 	}
 }

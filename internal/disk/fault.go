@@ -6,14 +6,13 @@ import (
 	"vats/internal/faultfs"
 )
 
-// Fault-capable mode: when Config.Faults carries a faultfs.Plan the
-// device additionally behaves like a real append-only log file with a
-// volatile write cache. WriteData appends bytes to the cache, Sync
-// persists the cache, and the plan injects transient errors, silently
-// dropped fsyncs, stalls, and the machine crash point. The persisted
-// byte image is what crash recovery reads back — so torn writes, lost
-// suffixes and lying fsyncs all surface exactly where they would on
-// real hardware.
+// Every device is an append-only stream with a volatile write cache:
+// WriteData appends bytes to the cache and Sync persists it. When
+// Config.Faults carries a faultfs.Plan the device also keeps the bytes,
+// and the plan injects transient errors, silently dropped fsyncs,
+// stalls, and the machine crash point. The persisted byte image is
+// what crash recovery reads back — so torn writes, lost suffixes and
+// lying fsyncs all surface exactly where they would on real hardware.
 //
 // State is a single logical byte stream:
 //
@@ -32,30 +31,29 @@ type faultState struct {
 	lies       int
 }
 
-// Recording reports whether the device records written bytes (fault
-// mode). The WAL switches to physical framed writes iff this is true.
-func (d *Sim) Recording() bool { return d.fs != nil }
-
 // Plan returns the attached fault plan (nil when not fault-capable).
 func (d *Sim) Plan() *faultfs.Plan { return d.cfg.Faults }
 
-// WriteData appends p to the device's volatile write cache, charging
-// the same latency a WriteBytes of len(p) would. Under the fault plan
-// the write may fail transiently (ErrIO, no bytes accepted) or be the
-// crash point, in which case a seeded prefix of p reaches the cache
-// before the machine dies (a torn write; the cache is volatile, so
-// those bytes are lost anyway unless a torn fsync follows).
+// WriteData appends p to the device's volatile write cache. The cache
+// is memory, so the write costs no device time; Sync charges it.
+// Without a fault plan the device only counts the bytes. Under a plan
+// the write may fail transiently (ErrIO, no bytes accepted), stall, or
+// be the crash point, in which case a seeded prefix of p reaches the
+// cache before the machine dies (a torn write; the cache is volatile,
+// so those bytes are lost anyway unless a torn fsync follows).
 func (d *Sim) WriteData(p []byte) error {
-	if d.fs == nil {
-		panic("disk: WriteData on a device without a fault plan")
-	}
 	plan := d.cfg.Faults
+	if plan == nil {
+		d.cached.Add(int64(len(p)))
+		return nil
+	}
 	if plan.Crashed() {
 		return faultfs.ErrCrashed
 	}
 	o := plan.Next(faultfs.OpWrite)
-	blocks := (len(p) + d.cfg.BlockSize - 1) / d.cfg.BlockSize
-	d.serveStalled(blocks, blocks, blocks*d.cfg.BlockSize, o.Stall)
+	if o.Stall > 0 {
+		d.serveStalled(0, 0, 0, o.Stall)
+	}
 	switch {
 	case o.Crash:
 		n := int(o.Torn * float64(len(p)))
@@ -66,14 +64,22 @@ func (d *Sim) WriteData(p []byte) error {
 	case o.Err:
 		return faultfs.ErrIO
 	}
+	d.cached.Add(int64(len(p)))
 	d.fs.mu.Lock()
 	d.fs.full = append(d.fs.full, p...)
 	d.fs.mu.Unlock()
 	return nil
 }
 
-// Sync flushes the write cache to the platter, charging Fsync latency.
-// Outcomes under the fault plan:
+// Sync flushes the write cache to the platter. It charges two device
+// requests, in this order: the bytes written since the previous Sync,
+// rounded up to whole blocks, and the fsync. Each block is a separate
+// I/O operation that transfers BlockSize bytes even if the payload only
+// fills part of it: the trade-off behind the paper's fig. 4 (right) —
+// larger blocks mean fewer operations per transaction, but once log
+// records occupy only a small part of a block, the wasted transfer
+// outweighs the savings. The fsync is a single operation with the
+// device's full latency profile. Outcomes under a fault plan:
 //
 //   - transient error: nothing persists, ErrIO returned;
 //   - dropped fsync:   nothing persists, success returned (the device
@@ -82,15 +88,22 @@ func (d *Sim) WriteData(p []byte) error {
 //     flush), then the machine dies (ErrCrashed);
 //   - otherwise:       the whole cache persists.
 func (d *Sim) Sync() error {
-	if d.fs == nil {
-		panic("disk: Sync on a device without a fault plan")
-	}
+	var o faultfs.Outcome
 	plan := d.cfg.Faults
-	if plan.Crashed() {
-		return faultfs.ErrCrashed
+	if plan != nil {
+		if plan.Crashed() {
+			return faultfs.ErrCrashed
+		}
+		o = plan.Next(faultfs.OpFsync)
 	}
-	o := plan.Next(faultfs.OpFsync)
+	if n := int(d.cached.Swap(0)); n > 0 {
+		blocks := (n + d.cfg.BlockSize - 1) / d.cfg.BlockSize
+		d.serve(blocks, blocks, blocks*d.cfg.BlockSize)
+	}
 	d.serveStalled(1, 0, 0, o.Stall)
+	if plan == nil {
+		return nil
+	}
 	d.fs.mu.Lock()
 	defer d.fs.mu.Unlock()
 	switch {

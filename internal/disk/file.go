@@ -60,7 +60,7 @@ type FileConfig struct {
 // accounting mirrors the simulated device's volatile-cache model so
 // the torture harness audits both backends with the same rules: under
 // a fault plan, bytes written but not yet synced are treated as lost
-// on crash even though they physically reached the file — DurableImage
+// on crash even though they already reached the file — DurableImage
 // returns only the acknowledged-durable prefix.
 type File struct {
 	cfg  Config // the Config() surface (Name/BlockSize/Faults)
@@ -143,11 +143,6 @@ func (d *File) Config() Config { return d.cfg }
 
 // Waiters returns the number of requests queued or in service.
 func (d *File) Waiters() int { return int(atomic.LoadInt32(&d.waiters)) }
-
-// Recording reports that the device carries real bytes — always true
-// for a file backend, so the WAL uses physical checksummed frames even
-// without a fault plan.
-func (d *File) Recording() bool { return true }
 
 // Plan returns the attached fault plan (nil when fault-free).
 func (d *File) Plan() *faultfs.Plan { return d.fcfg.Faults }
@@ -277,36 +272,6 @@ func (d *File) Sync() error {
 	d.ackedLen = d.written
 	d.exit(start, 1, 0, 0)
 	return nil
-}
-
-// WriteBytes performs a block-rounded buffered write of n payload
-// bytes into the stream (the latency-model entry point; the WAL's
-// physical mode uses WriteData instead).
-func (d *File) WriteBytes(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	blocks := (n + d.cfg.BlockSize - 1) / d.cfg.BlockSize
-	buf := blockBufs.Get().(*[]byte)
-	b := (*buf)[:cap(*buf)]
-	need := blocks * d.cfg.BlockSize
-	for len(b) < need {
-		b = append(b, make([]byte, need-len(b))...)
-	}
-	start := d.enter()
-	_ = d.pwriteStream(b[:need])
-	d.written += int64(need)
-	el := d.exit(start, blocks, blocks, need)
-	*buf = b
-	blockBufs.Put(buf)
-	return el
-}
-
-// Fsync flushes the stream (the latency-model entry point).
-func (d *File) Fsync() time.Duration {
-	start := time.Now()
-	_ = d.Sync()
-	return time.Since(start)
 }
 
 var blockBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8192); return &b }}

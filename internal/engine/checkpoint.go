@@ -162,11 +162,11 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 			// in (le.ts, ts] wrote the table. LastCommitTS certifies that:
 			// it is read after BeginSnapshot, and stamping happens-before
 			// the watermark covers a cts, so every commit with cts ≤ ts
-			// has already raised it. (The table's DirtyEpoch cannot gate
-			// this — it bumps at statement time, so a write whose cts
-			// lands above a snapshot inflates the epoch the snapshot
-			// records, and the next pass would wrongly treat the table as
-			// clean while truncation destroys the write's log records.)
+			// has already raised it. (A counter bumped at statement time
+			// cannot gate this: a write whose cts lands above a snapshot
+			// would inflate the count the snapshot records, and the next
+			// pass would wrongly treat the table as clean while truncation
+			// destroys the write's log records.)
 			if le, ok := db.lastEmit[space]; ok && le.rows > 0 && t.LastCommitTS() <= le.ts {
 				// Unchanged since its rows last hit the log: reference
 				// them. Empty emissions are never referenced — zero

@@ -323,9 +323,6 @@ func (t *Table) Name() string { return t.name }
 // Shard exposes partition p's storage shard (loaders, audits).
 func (t *Table) Shard(p int) *storage.Table { return t.shards[p] }
 
-// Replicated reports whether the table is replicated on every partition.
-func (t *Table) Replicated() bool { return t.keyOf == nil }
-
 // partitionOf maps a primary key to its partition, or -1 for replicated
 // tables (readable on any participant).
 func (t *Table) partitionOf(pk uint64) int {

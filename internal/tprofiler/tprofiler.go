@@ -59,6 +59,10 @@ type Profiler struct {
 	// instrumentation (the DTrace baseline in fig. 5 left). Zero for
 	// TProfiler itself.
 	ProbeCost time.Duration
+
+	// now is the clock spans are timed with (time.Now; tests substitute
+	// a manual clock to feed exact durations).
+	now func() time.Time
 }
 
 type nodeAcc struct {
@@ -72,6 +76,7 @@ type nodeAcc struct {
 func New() *Profiler {
 	return &Profiler{
 		depths: make(map[string]int),
+		now:    time.Now,
 	}
 }
 
@@ -153,7 +158,7 @@ func (p *Profiler) StartTxn() *TxnCtx {
 	p.mu.Unlock()
 	return &TxnCtx{
 		p:       p,
-		start:   time.Now(),
+		start:   p.now(),
 		totals:  make(map[string]float64, 16),
 		depths:  make(map[string]int, 16),
 		heights: make(map[string]int, 16),
@@ -189,7 +194,7 @@ func (tc *TxnCtx) Enter(name string) int {
 	if tc.p.ProbeCost > 0 && on {
 		spin(tc.p.ProbeCost)
 	}
-	tc.stack = append(tc.stack, frame{name: name, path: path, start: time.Now(), on: on})
+	tc.stack = append(tc.stack, frame{name: name, path: path, start: tc.p.now(), on: on})
 	return len(tc.stack)
 }
 
@@ -209,7 +214,7 @@ func (tc *TxnCtx) Exit(token int) {
 	if tc.p.ProbeCost > 0 {
 		spin(tc.p.ProbeCost)
 	}
-	dur := float64(time.Since(f.start)) / float64(time.Millisecond)
+	dur := float64(tc.p.now().Sub(f.start)) / float64(time.Millisecond)
 	tc.addSpan(f.path, dur, f.childMs)
 }
 
@@ -265,7 +270,7 @@ func (tc *TxnCtx) End() {
 	if len(tc.stack) != 0 {
 		panic("tprofiler: End with open spans")
 	}
-	total := float64(time.Since(tc.start)) / float64(time.Millisecond)
+	total := float64(tc.p.now().Sub(tc.start)) / float64(time.Millisecond)
 	tc.totals["txn"] = total
 	tc.depths["txn"] = 0
 

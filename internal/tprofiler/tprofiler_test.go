@@ -8,20 +8,36 @@ import (
 	"time"
 )
 
+// fakeClock is a manual clock for a Profiler: the tests advance it by
+// exact durations instead of sleeping, so every span measures exactly
+// what the test meant and no assertion depends on time.Sleep precision.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
+// newFakeProfiler returns a profiler timed by a fresh fakeClock.
+func newFakeProfiler() (*Profiler, *fakeClock) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	p := New()
+	p.now = clk.now
+	return p, clk
+}
+
 // runTxn executes one synthetic transaction: parent "op" with children
 // "fast" (constant) and "slow" (alternating), so "slow" is the variance
 // culprit.
-func runTxn(p *Profiler, i int) {
+func runTxn(p *Profiler, clk *fakeClock, i int) {
 	tc := p.StartTxn()
 	op := tc.Enter("op")
 	fast := tc.Enter("fast")
-	time.Sleep(200 * time.Microsecond)
+	clk.advance(200 * time.Microsecond)
 	tc.Exit(fast)
 	slow := tc.Enter("slow")
 	if i%2 == 0 {
-		time.Sleep(2 * time.Millisecond)
+		clk.advance(2 * time.Millisecond)
 	} else {
-		time.Sleep(100 * time.Microsecond)
+		clk.advance(100 * time.Microsecond)
 	}
 	tc.Exit(slow)
 	tc.Exit(op)
@@ -43,9 +59,9 @@ func TestNilProfilerIsNoop(t *testing.T) {
 }
 
 func TestVarianceAttribution(t *testing.T) {
-	p := New()
+	p, clk := newFakeProfiler()
 	for i := 0; i < 40; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	if p.TxnCount() != 40 {
 		t.Fatalf("txn count = %d", p.TxnCount())
@@ -69,9 +85,9 @@ func TestVarianceAttribution(t *testing.T) {
 func TestScorePrefersDeepFunctions(t *testing.T) {
 	// Parent "op" has higher variance than child "slow" (it contains
 	// it), but specificity must rank "slow" above "op".
-	p := New()
+	p, clk := newFakeProfiler()
 	for i := 0; i < 30; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	factors := p.TopFactors(10)
 	posOf := func(name string) int {
@@ -92,9 +108,9 @@ func TestScorePrefersDeepFunctions(t *testing.T) {
 }
 
 func TestParentVarianceExceedsChild(t *testing.T) {
-	p := New()
+	p, clk := newFakeProfiler()
 	for i := 0; i < 30; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	tree := p.Tree()
 	var op, slow *Node
@@ -124,9 +140,9 @@ func TestParentVarianceExceedsChild(t *testing.T) {
 
 func TestVarianceDecompositionHolds(t *testing.T) {
 	// Var(parent) ≈ Σ Var(children incl. body) + 2 Σ Cov(siblings).
-	p := New()
+	p, clk := newFakeProfiler()
 	for i := 0; i < 60; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	p.mu.Lock()
 	p.analyzeLocked()
@@ -160,10 +176,10 @@ func TestVarianceDecompositionHolds(t *testing.T) {
 }
 
 func TestInstrumentSubsetCollapsesFrames(t *testing.T) {
-	p := New()
+	p, clk := newFakeProfiler()
 	p.Instrument("op") // "slow"/"fast" uninstrumented
 	for i := 0; i < 20; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	tree := p.Tree()
 	var sawSlow bool
@@ -192,12 +208,12 @@ func TestInstrumentSubsetCollapsesFrames(t *testing.T) {
 
 func TestInstrumentMiddleFrameCollapse(t *testing.T) {
 	// txn -> a(off) -> b(on): b must attach under the root, not under a.
-	p := New()
+	p, clk := newFakeProfiler()
 	p.Instrument("b")
 	tc := p.StartTxn()
 	ta := tc.Enter("a")
 	tb := tc.Enter("b")
-	time.Sleep(100 * time.Microsecond)
+	clk.advance(100 * time.Microsecond)
 	tc.Exit(tb)
 	tc.Exit(ta)
 	tc.End()
@@ -278,13 +294,13 @@ func TestConcurrentTransactions(t *testing.T) {
 
 func TestBodyTimeComputed(t *testing.T) {
 	// Parent with sleeping body and one child: parent body node exists.
-	p := New()
+	p, clk := newFakeProfiler()
 	tc := p.StartTxn()
 	op := tc.Enter("op")
 	c := tc.Enter("child")
-	time.Sleep(200 * time.Microsecond)
+	clk.advance(200 * time.Microsecond)
 	tc.Exit(c)
-	time.Sleep(500 * time.Microsecond) // body time
+	clk.advance(500 * time.Microsecond) // body time
 	tc.Exit(op)
 	tc.End()
 	p.mu.Lock()
@@ -300,9 +316,9 @@ func TestBodyTimeComputed(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	p := New()
+	p, clk := newFakeProfiler()
 	for i := 0; i < 10; i++ {
-		runTxn(p, i)
+		runTxn(p, clk, i)
 	}
 	r := p.Report()
 	if !strings.Contains(r, "txn") || !strings.Contains(r, "slow") {

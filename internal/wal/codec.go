@@ -9,11 +9,10 @@ import (
 	"vats/internal/disk"
 )
 
-// Physical log frame format. When the log devices are fault-capable
-// (disk.Config.Faults set) the manager serializes every batch into a
-// checksummed frame and writes the real bytes through the device's
-// cache/fsync model; crash recovery then decodes the device's durable
-// byte image instead of trusting in-memory bookkeeping. Torn writes
+// Log frame format. The manager serializes every batch it writes into
+// a checksummed frame and writes the bytes through the device's
+// cache/fsync model; recovery after a device crash decodes the device's
+// durable byte image instead of trusting in-memory bookkeeping. Torn writes
 // surface as an invalid tail, lost suffixes simply end the image early,
 // and a frame is recovered all-or-nothing — exactly the batch
 // atomicity AppendBatch promises.
@@ -158,8 +157,8 @@ func MergeEntries(streams ...[]Entry) []Entry {
 }
 
 // RecoverDeviceEntries decodes and merges the durable images of
-// fault-capable log devices — the physical-truth input to crash
-// recovery after a simulated machine crash.
+// fault-capable log devices — the on-device truth crash recovery
+// starts from after a simulated machine crash.
 func RecoverDeviceEntries(devs ...disk.Device) []Entry {
 	streams := make([][]Entry, 0, len(devs))
 	for _, d := range devs {

@@ -9,7 +9,9 @@ import (
 	"vats/internal/faultfs"
 )
 
-func physDev(seed int64, cfg faultfs.Config) disk.Device {
+// planDev is a simulated log device with a fault plan, so its byte
+// images can be read back.
+func planDev(seed int64, cfg faultfs.Config) disk.Device {
 	return disk.New(disk.Config{
 		MedianLatency: time.Microsecond,
 		BlockSize:     4096,
@@ -77,7 +79,7 @@ func TestMergeEntriesDedupesRewrites(t *testing.T) {
 // with no faults configured: the decoded durable image must equal the
 // in-memory durable log exactly.
 func TestPhysicalModeMatchesMemory(t *testing.T) {
-	devs := []disk.Device{physDev(1, faultfs.Config{}), physDev(2, faultfs.Config{})}
+	devs := []disk.Device{planDev(1, faultfs.Config{}), planDev(2, faultfs.Config{})}
 	m := New(Config{Devices: devs, Parallel: true})
 	for txn := uint64(1); txn <= 20; txn++ {
 		if _, err := m.AppendBatch(txn, [][]byte{{byte(txn)}, {byte(txn), 2}}); err != nil {
@@ -106,7 +108,7 @@ func TestPhysicalModeMatchesMemory(t *testing.T) {
 // a high transient-error rate, and duplicate frames from retried syncs
 // are deduplicated at decode time.
 func TestPhysicalTransientErrorsRetry(t *testing.T) {
-	dev := physDev(3, faultfs.Config{IOErrorP: 0.4})
+	dev := planDev(3, faultfs.Config{IOErrorP: 0.4})
 	m := New(Config{Devices: []disk.Device{dev}})
 	for txn := uint64(1); txn <= 30; txn++ {
 		if _, err := m.Append(txn, []byte{byte(txn)}); err != nil {
@@ -134,7 +136,7 @@ func TestPhysicalTransientErrorsRetry(t *testing.T) {
 // commit that was acked before the crash must decode from the durable
 // image.
 func TestPhysicalCrashKeepsDurablePrefix(t *testing.T) {
-	dev := physDev(4, faultfs.Config{CrashOp: 25, CrashTorn: 0})
+	dev := planDev(4, faultfs.Config{CrashOp: 25, CrashTorn: 0})
 	m := New(Config{Devices: []disk.Device{dev}})
 	acked := 0
 	for txn := uint64(1); txn <= 100; txn++ {
@@ -165,7 +167,7 @@ func TestPhysicalCrashKeepsDurablePrefix(t *testing.T) {
 // really pushes frames into the device cache, and a clean Close makes
 // them durable.
 func TestPhysicalLazyFlushWritesFrames(t *testing.T) {
-	dev := physDev(5, faultfs.Config{})
+	dev := planDev(5, faultfs.Config{})
 	m := New(Config{Devices: []disk.Device{dev}, Policy: LazyFlush, FlushInterval: time.Millisecond})
 	for txn := uint64(1); txn <= 10; txn++ {
 		if _, err := m.Append(txn, []byte{byte(txn)}); err != nil {

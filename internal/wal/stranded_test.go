@@ -10,7 +10,7 @@ import (
 	"vats/internal/faultfs"
 )
 
-// flakyDev wraps a fault-capable (recording) device with injectable
+// flakyDev wraps a fault-capable device with injectable
 // transient errors.
 type flakyDev struct {
 	disk.Device
@@ -44,14 +44,14 @@ func (d *flakyDev) Sync() error {
 // to re-claim its batch or broadcast.
 //
 // The claim and the resurrection are performed by hand (exactly the
-// moves flushClaimsPhys makes around a failed WriteData) because the
+// moves flushClaims makes around a failed WriteData) because the
 // real interleaving needs the committer to slip between the flusher's
 // stream-lock windows — a timing window a deterministic test can't hit
 // reliably. The contract under test is the manager's, not the
 // flusher's: a batch moved back into buffered while its committer is
 // parked must wake that committer.
 func TestCommitterNotStrandedByFlushWriteError(t *testing.T) {
-	fd := &flakyDev{Device: physDev(1, faultfs.Config{})}
+	fd := &flakyDev{Device: planDev(1, faultfs.Config{})}
 	m := New(Config{Devices: []disk.Device{fd}, Policy: EagerFlush})
 	defer m.Close()
 
@@ -81,7 +81,7 @@ func TestCommitterNotStrandedByFlushWriteError(t *testing.T) {
 	}
 
 	// "WriteData failed": the flush pass resurrects its claim, as
-	// flushClaimsPhys does on a transient write error. The parked
+	// flushClaims does on a transient write error. The parked
 	// committer must be kicked awake to flush the batch itself.
 	m.mu.Lock()
 	m.buffered = append(claim, m.buffered...)
@@ -113,7 +113,7 @@ func TestCommitterNotStrandedByFlushWriteError(t *testing.T) {
 // must notice the unsynced batches and drive the flush itself instead
 // of parking.
 func TestCommitterDrivesSyncOfWrittenBatches(t *testing.T) {
-	fd := &flakyDev{Device: physDev(2, faultfs.Config{})}
+	fd := &flakyDev{Device: planDev(2, faultfs.Config{})}
 	m := New(Config{Devices: []disk.Device{fd}, Policy: EagerFlush})
 	defer m.Close()
 

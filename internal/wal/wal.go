@@ -16,6 +16,13 @@
 // batch travels through buffered → written → durable as a unit, and the
 // commit-path durability check is an O(1) per-transaction outstanding-
 // batch counter plus durable-LSN watermarks — never a log scan.
+//
+// There is one write path, whatever the device: a flush serializes its
+// batches into checksummed frames (codec.go), appends them to a log
+// device's write cache with WriteData and makes them durable with Sync.
+// A simulated device charges the frames' blocks and the fsync at Sync;
+// a real file pwrites and fdatasyncs them. After a device crash,
+// recovery decodes the devices' durable byte images.
 package wal
 
 import (
@@ -108,8 +115,8 @@ type batch struct {
 	data  []byte // concatenated payload bytes
 	ends  []int  // ends[i] = end offset of record i in data
 	// stream is the log stream whose device cache holds this batch's
-	// physical frame (-1 until written). Only meaningful in physical
-	// mode, where the fsync must go to the same device as the write.
+	// frame (-1 until written): the fsync must go to the same device as
+	// the write.
 	stream int
 }
 
@@ -129,15 +136,14 @@ type Manager struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// buffered holds appended batches not yet claimed by any flush;
-	// written holds batches a LazyFlush commit pushed to the OS cache,
-	// awaiting background fsync; durable holds everything fsynced.
+	// written holds batches whose frames sit in a device's write cache,
+	// awaiting an fsync; durable holds everything fsynced.
 	// A claim moves whole batches out of buffered/written, performs the
 	// device I/O without m.mu, then completes them into durable — so
 	// claiming is O(batches taken), never O(log length).
 	buffered      []*batch
 	bufferedBytes int
 	written       []*batch
-	writtenBytes  int
 	durable       []*batch
 	durableRecs   int
 	// pending counts, per transaction, how many of its batches are not
@@ -162,12 +168,6 @@ type Manager struct {
 	// truncLow is the highest Truncate bound applied so far: LSNs
 	// below it are durable-but-reclaimed (CheckInvariants uses it).
 	truncLow LSN
-
-	// phys: the log devices are fault-capable (disk.Config.Faults), so
-	// every claim is serialized into checksummed frames and written as
-	// real bytes through the device's cache/fsync model; recovery after
-	// a simulated crash decodes the devices' durable images (codec.go).
-	phys bool
 
 	appends atomic.Int64
 	flushes atomic.Int64
@@ -200,18 +200,8 @@ func New(cfg Config) *Manager {
 	m.met = obs.NewWALMetrics(cfg.Obs, len(cfg.Devices))
 	m.cond = sync.NewCond(&m.mu)
 	m.marks = make([]LSN, len(cfg.Devices))
-	recording := 0
 	for i, d := range cfg.Devices {
 		m.streams = append(m.streams, &stream{idx: i, dev: d})
-		if d.Recording() {
-			recording++
-		}
-	}
-	if recording > 0 {
-		if recording != len(cfg.Devices) {
-			panic("wal: either all log devices must be fault-capable or none")
-		}
-		m.phys = true
 	}
 	if cfg.Policy != EagerFlush {
 		m.stopFlusher = make(chan struct{})
@@ -391,13 +381,7 @@ func (m *Manager) commitEager(txn uint64) error {
 		if m.met.FlushEnabled() {
 			flushStart = time.Now()
 		}
-		var ferr error
-		if m.phys {
-			ferr = physWriteSync(st, claim)
-		} else {
-			st.dev.WriteBytes(bytes)
-			st.dev.Fsync()
-		}
+		ferr := st.writeSync(claim)
 		if ferr == nil && !flushStart.IsZero() {
 			m.met.FlushDone(time.Since(flushStart), recordCount(claim), bytes, st.idx)
 		}
@@ -438,14 +422,34 @@ func (m *Manager) commitEager(txn uint64) error {
 	}
 }
 
-// physWriteSync frames a claim and pushes it through one device
-// write + fsync in physical mode.
-func physWriteSync(st *stream, claim []*batch) error {
-	var buf []byte
+// frameBufs recycles frame-encoding buffers: a device does not retain
+// what WriteData is given, so the buffer is free once the write returns.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrameBuf bounds the buffers frameBufs keeps; a larger claim
+// (a checkpoint chunk, say) encodes into a buffer that is then dropped.
+const maxPooledFrameBuf = 64 << 10
+
+// write frames claim and appends the frames to the stream device's
+// write cache.
+func (st *stream) write(claim []*batch) error {
+	bp := frameBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
 	for _, bt := range claim {
 		buf = appendFrame(buf, bt)
 	}
-	if err := st.dev.WriteData(buf); err != nil {
+	err := st.dev.WriteData(buf)
+	if cap(buf) <= maxPooledFrameBuf {
+		*bp = buf
+		frameBufs.Put(bp)
+	}
+	return err
+}
+
+// writeSync frames a claim and pushes it through one device write +
+// fsync. Caller holds st.mu.
+func (st *stream) writeSync(claim []*batch) error {
+	if err := st.write(claim); err != nil {
 		return err
 	}
 	if err := st.dev.Sync(); err != nil {
@@ -479,31 +483,21 @@ func (m *Manager) commitLazyFlush(txn uint64) error {
 	}
 	m.buffered = kept
 	m.bufferedBytes -= movedBytes
-	if !m.phys || len(moved) == 0 {
-		// The commit-path write lands in the OS page cache (a memcpy,
-		// not a device operation); only the background fsync touches the
-		// device, which is the whole point of the policy. The device
-		// transfer for these bytes is charged at flush time.
-		m.written = append(m.written, moved...)
-		m.writtenBytes += movedBytes
-		m.mu.Unlock()
+	m.mu.Unlock()
+	if len(moved) == 0 {
 		return nil
 	}
-	m.mu.Unlock()
 
-	// Physical mode: the commit-path write pushes real frames into a
-	// device's volatile cache (no fsync — that is the flusher's job).
-	// The batches are in neither buffered nor written while the I/O is
-	// in flight, so a concurrent flusher pass cannot double-claim them.
-	var buf []byte
-	for _, bt := range moved {
-		buf = appendFrame(buf, bt)
-	}
+	// The commit-path write pushes the frames into a device's volatile
+	// cache (no fsync — that is the flusher's job, which is the whole
+	// point of the policy). It does not take the stream lock, so it
+	// never queues behind a group commit's or the flusher's fsync. The
+	// batches are in neither buffered nor written while the I/O is in
+	// flight, so a concurrent flusher pass cannot double-claim them;
+	// a concurrent fsync of the stream at worst persists them early.
 	st := m.pickStream()
 	for attempt := 0; ; attempt++ {
-		st.mu.Lock()
-		err := st.dev.WriteData(buf)
-		st.mu.Unlock()
+		err := st.write(moved)
 		if err == nil {
 			break
 		}
@@ -537,7 +531,6 @@ func (m *Manager) commitLazyFlush(txn uint64) error {
 		bt.stream = st.idx
 	}
 	m.written = append(m.written, moved...)
-	m.writtenBytes += movedBytes
 	m.mu.Unlock()
 	return nil
 }
@@ -554,12 +547,10 @@ func (m *Manager) claimBufferedLocked() ([]*batch, int) {
 }
 
 // claimWrittenLocked claims every written-but-unsynced batch.
-func (m *Manager) claimWrittenLocked() ([]*batch, int) {
+func (m *Manager) claimWrittenLocked() []*batch {
 	claim := m.written
-	bytes := m.writtenBytes
 	m.written = nil
-	m.writtenBytes = 0
-	return claim, bytes
+	return claim
 }
 
 // completeLocked marks claimed batches durable: appends them to the
@@ -655,18 +646,16 @@ func (m *Manager) backgroundFlush() {
 		return
 	}
 	var toWrite []*batch
-	bytes := 0
 	if m.cfg.Policy == LazyWrite {
-		toWrite, bytes = m.claimBufferedLocked()
+		toWrite, _ = m.claimBufferedLocked()
 	}
-	toSync, wb := m.claimWrittenLocked()
-	bytes += wb
+	toSync := m.claimWrittenLocked()
 	m.mu.Unlock()
 
 	if len(toWrite) == 0 && len(toSync) == 0 {
 		return
 	}
-	m.flushClaims(toWrite, toSync, bytes)
+	m.flushClaims(toWrite, toSync)
 }
 
 // Flush forces one synchronous flush pass (clean shutdown, checkpoint
@@ -679,64 +668,26 @@ func (m *Manager) Flush() error {
 		m.mu.Unlock()
 		return ErrCrashed
 	}
-	toWrite, bytes := m.claimBufferedLocked()
-	toSync, wb := m.claimWrittenLocked()
-	bytes += wb
+	toWrite, _ := m.claimBufferedLocked()
+	toSync := m.claimWrittenLocked()
 	m.mu.Unlock()
 	if len(toWrite) == 0 && len(toSync) == 0 {
 		return nil
 	}
-	return m.flushClaims(toWrite, toSync, bytes)
+	return m.flushClaims(toWrite, toSync)
 }
 
-// flushClaims pushes a claimed set of batches through one device
-// write+fsync and completes them. Shared by the background flusher and
-// manual Flush.
-func (m *Manager) flushClaims(toWrite, toSync []*batch, bytes int) error {
-	if m.phys {
-		return m.flushClaimsPhys(toWrite, toSync)
-	}
-	st := m.pickStream()
-	st.mu.Lock()
-	var flushStart time.Time
-	if m.met.FlushEnabled() {
-		flushStart = time.Now()
-	}
-	if bytes > 0 {
-		st.dev.WriteBytes(bytes)
-	}
-	st.dev.Fsync()
-	if !flushStart.IsZero() {
-		m.met.FlushDone(time.Since(flushStart), recordCount(toWrite)+recordCount(toSync), bytes, st.idx)
-	}
-	st.mu.Unlock()
-	m.flushes.Add(1)
-	m.bytes.Add(int64(bytes))
-
-	m.mu.Lock()
-	if m.crashed {
-		// Crash raced with this flush; do not resurrect batches.
-		m.mu.Unlock()
-		return ErrCrashed
-	}
-	m.completeLocked(toWrite, st.idx)
-	m.completeLocked(toSync, st.idx)
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	return nil
-}
-
-// flushClaimsPhys is the physical-mode flush pass. A written batch's
-// frame sits in the cache of one specific device, so the fsync must go
-// to that device: the claim is grouped by stream, still-buffered
-// batches (LazyWrite) are first written to the least-loaded stream, and
-// each involved stream gets one fsync. Transient errors resurrect the
-// affected batches for the next pass; a crash outcome kills the
-// manager and abandons the claim — the device images are the truth.
-// Returns the first error encountered (the pass still visits every
-// stream so transient errors on one stream don't strand another's
-// batches).
-func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
+// flushClaims is one flush pass, shared by the background flusher and
+// manual Flush. A written batch's frame sits in the cache of one
+// specific device, so the fsync must go to that device: the claim is
+// grouped by stream, still-buffered batches are first written to the
+// least-loaded stream, and each involved stream gets one fsync.
+// Transient errors resurrect the affected batches for the next pass; a
+// crash outcome kills the manager and abandons the claim — the device
+// images are the truth. Returns the first error encountered (the pass
+// still visits every stream so transient errors on one stream don't
+// strand another's batches).
+func (m *Manager) flushClaims(toWrite, toSync []*batch) error {
 	var firstErr error
 	groups := make(map[int][]*batch)
 	for _, bt := range toSync {
@@ -744,13 +695,7 @@ func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
 	}
 	if len(toWrite) > 0 {
 		st := m.pickStream()
-		var buf []byte
-		for _, bt := range toWrite {
-			buf = appendFrame(buf, bt)
-		}
-		st.mu.Lock()
-		err := st.dev.WriteData(buf)
-		st.mu.Unlock()
+		err := st.write(toWrite)
 		switch {
 		case errors.Is(err, faultfs.ErrCrashed):
 			m.markCrashed()
@@ -787,7 +732,11 @@ func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
 	for _, i := range idxs {
 		grp := groups[i]
 		st := m.streams[i]
+		var syncStart time.Time
 		st.mu.Lock()
+		if m.met.FlushEnabled() {
+			syncStart = time.Now()
+		}
 		err := st.dev.Sync()
 		st.mu.Unlock()
 		switch {
@@ -804,9 +753,6 @@ func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
 			m.mu.Lock()
 			if !m.crashed {
 				m.written = append(grp, m.written...)
-				for _, bt := range grp {
-					m.writtenBytes += bt.bytes()
-				}
 				m.kicked++
 				m.cond.Broadcast()
 			}
@@ -816,6 +762,9 @@ func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
 		gbytes := 0
 		for _, bt := range grp {
 			gbytes += bt.bytes()
+		}
+		if !syncStart.IsZero() {
+			m.met.FlushDone(time.Since(syncStart), recordCount(grp), gbytes, i)
 		}
 		m.flushes.Add(1)
 		m.bytes.Add(int64(gbytes))
@@ -1019,7 +968,7 @@ func (m *Manager) StreamWatermarks() []LSN {
 //     by exactly one durable batch (the watermark promise);
 //   - parked out-of-order ranges are sorted, disjoint, and strictly
 //     above the watermark with a real gap below them;
-//   - bufferedBytes/writtenBytes match their lists;
+//   - bufferedBytes matches the buffered list;
 //   - outstanding-batch counters are positive.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
@@ -1086,13 +1035,6 @@ func (m *Manager) CheckInvariants() error {
 	}
 	if bb != m.bufferedBytes {
 		return fmt.Errorf("wal: bufferedBytes=%d, buffered batches sum to %d", m.bufferedBytes, bb)
-	}
-	wb := 0
-	for _, bt := range m.written {
-		wb += bt.bytes()
-	}
-	if wb != m.writtenBytes {
-		return fmt.Errorf("wal: writtenBytes=%d, written batches sum to %d", m.writtenBytes, wb)
 	}
 	for txn, n := range m.pending {
 		if n <= 0 {

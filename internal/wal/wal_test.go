@@ -240,28 +240,36 @@ func TestSingleStreamIgnoresExtraDevices(t *testing.T) {
 }
 
 func TestConcurrentAppendCommitStress(t *testing.T) {
-	m := New(Config{Devices: []disk.Device{fastDevice(7)}, Policy: EagerFlush})
-	var wg sync.WaitGroup
-	const workers = 8
-	const per = 20
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		base := uint64(w * 1000)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				txn := base + uint64(i) + 1
-				m.Append(txn, []byte("p1"))
-				m.Append(txn, []byte("p2"))
-				if err := m.Commit(txn); err != nil {
-					t.Errorf("commit: %v", err)
+	// The lazy policies race commit-path frame writes against the
+	// background flusher's writes and fsyncs on the same stream.
+	for _, policy := range []FlushPolicy{EagerFlush, LazyFlush, LazyWrite} {
+		m := New(Config{Devices: []disk.Device{fastDevice(7)}, Policy: policy, FlushInterval: time.Millisecond})
+		var wg sync.WaitGroup
+		const workers = 8
+		const per = 20
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			base := uint64(w * 1000)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					txn := base + uint64(i) + 1
+					m.Append(txn, []byte("p1"))
+					m.Append(txn, []byte("p2"))
+					if err := m.Commit(txn); err != nil {
+						t.Errorf("%v commit: %v", policy, err)
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.DurableCount(); got != workers*per*2 {
-		t.Fatalf("durable = %d, want %d", got, workers*per*2)
+			}()
+		}
+		wg.Wait()
+		if policy != EagerFlush {
+			m.Close() // clean shutdown drains what the flusher has not synced
+		}
+		if got := m.DurableCount(); got != workers*per*2 {
+			t.Fatalf("%v: durable = %d, want %d", policy, got, workers*per*2)
+		}
+		m.Close()
 	}
 }
 
@@ -284,5 +292,48 @@ func TestTruncateDropsOnlyDurablePrefix(t *testing.T) {
 	entries = m.RecoveredEntries()
 	if len(entries) != 1 || string(entries[0].Payload) != "c" {
 		t.Fatalf("non-durable record lost by truncate: %v", entries)
+	}
+}
+
+// TestSimCommitCostModel pins where a fault-free simulated device
+// charges a commit: WriteData only fills its cache, so a LazyFlush
+// commit costs no device operation until the flusher's Sync, and an
+// EagerFlush commit costs its frame's blocks plus the fsync.
+func TestSimCommitCostModel(t *testing.T) {
+	const block = 512
+	newDev := func() disk.Device {
+		return disk.New(disk.Config{MedianLatency: 10 * time.Microsecond, Sigma: 0, BlockSize: block, Seed: 1})
+	}
+	payloads := [][]byte{make([]byte, 300), make([]byte, 300)}
+	frame := frameHeaderSize + 4*len(payloads) + 600 + frameTrailer
+	want := int64((frame+block-1)/block + 1) // 640-byte frame: 2 blocks + fsync
+
+	lazyDev := newDev()
+	lazy := New(Config{Devices: []disk.Device{lazyDev}, Policy: LazyFlush, FlushInterval: time.Hour})
+	defer lazy.Close()
+	lazy.AppendBatch(1, payloads)
+	if err := lazy.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if ops := lazyDev.Stats().Ops; ops != 0 {
+		t.Fatalf("LazyFlush commit charged %d device ops, want 0 until the flusher syncs", ops)
+	}
+	lazy.backgroundFlush()
+	if ops := lazyDev.Stats().Ops; ops != want {
+		t.Fatalf("flusher pass charged %d ops, want %d", ops, want)
+	}
+	if lazy.DurableCount() != 2 {
+		t.Fatalf("durable = %d after the flusher pass, want 2", lazy.DurableCount())
+	}
+
+	eagerDev := newDev()
+	eager := New(Config{Devices: []disk.Device{eagerDev}, Policy: EagerFlush})
+	defer eager.Close()
+	eager.AppendBatch(1, payloads)
+	if err := eager.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	if ops := eagerDev.Stats().Ops; ops != want {
+		t.Fatalf("EagerFlush commit charged %d ops, want %d (frame blocks + fsync)", ops, want)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // TestSnapshotScanAllocGuardrail caps the snapshot scan path's own
 // allocations in the regime concurrent writers create: every row's
 // newest version is above the scan's read timestamp, so every
-// resolution falls off the frozen-hint fast path and walks the version
-// chain (resolveSnapshot -> walkChain). The iterator's chain-walk
+// resolution leaves the inline fast path and walks the version chain
+// (resolve -> walkChain). The iterator's chain-walk
 // scratch buffer must absorb all of it — per-SCAN allocations stay a
 // small constant, never O(rows).
 //

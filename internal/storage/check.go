@@ -14,7 +14,7 @@ import (
 //
 // The check takes the table write lock, so it sees a quiescent
 // structure; concurrent readers are unaffected (they read copy-on-write
-// snapshots).
+// index snapshots and seqlocked slot words).
 func (t *Table) CheckInvariants(h *buffer.Handle) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -35,14 +35,27 @@ func (t *Table) CheckInvariants(h *buffer.Handle) error {
 	}
 
 	// Every live clustered-index entry resolves to a live row; collect
-	// the rows for the secondary-index audit. Along the way audit the
-	// version store: chains must be committed-timestamp-monotone with
-	// intact row images, and the arena gauges must equal what is
-	// reachable (chains plus limbo).
+	// the rows for the secondary-index audit. Each entry's slot must be
+	// tagged with its key and serve no other entry, and released slots
+	// must hold the freed words, so that slots are neither leaked nor
+	// shared. Along the way audit the version store: chains must be
+	// committed-timestamp-monotone with intact row images, and the arena
+	// gauges must equal what is reachable (chains plus limbo).
 	rows := make(map[uint64][]byte, t.index.Len())
+	used := make(map[uint32]bool, t.index.Len())
 	reachable := 0
 	var walkErr error
-	t.index.Ascend(func(pk uint64, meta rowMeta) bool {
+	t.index.Ascend(func(pk uint64, id uint32) bool {
+		if used[id] {
+			walkErr = fmt.Errorf("%s: key %d shares slot %d", t.name, pk, id)
+			return false
+		}
+		used[id] = true
+		if tag := t.slots.at(id).key.Load(); tag != pk {
+			walkErr = fmt.Errorf("%s: key %d maps to slot %d tagged %d", t.name, pk, id, tag)
+			return false
+		}
+		meta := t.slots.at(id).meta(t.space)
 		if !meta.tomb {
 			row, err := t.readRID(h, meta.rid)
 			if err != nil {
@@ -80,6 +93,20 @@ func (t *Table) CheckInvariants(h *buffer.Handle) error {
 	})
 	if walkErr != nil {
 		return walkErr
+	}
+	freed := freedMeta
+	freed.rid.Page.Space = t.space
+	for _, id := range t.slots.free {
+		if used[id] {
+			return fmt.Errorf("%s: slot %d is both indexed and free", t.name, id)
+		}
+		used[id] = true
+		if m := t.slots.at(id).meta(t.space); m != freed {
+			return fmt.Errorf("%s: free slot %d holds live words %+v", t.name, id, m)
+		}
+	}
+	if len(used) != int(t.slots.n) {
+		return fmt.Errorf("%s: %d slots allocated, %d indexed or free", t.name, t.slots.n, len(used))
 	}
 	if len(rows) != int(t.live.Load()) {
 		return fmt.Errorf("%s: Len()=%d but walk saw %d live keys", t.name, t.live.Load(), len(rows))

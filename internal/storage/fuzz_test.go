@@ -26,7 +26,7 @@ func FuzzPageCodec(f *testing.F) {
 		err := pageCheck(data)
 		// Reads must be safe whether or not the page is valid...
 		for slot := 0; slot < 300; slot++ {
-			row, ok := pageReadRow(data, slot)
+			row, ok := pageReadRowAppend(data, slot, nil)
 			if !ok {
 				continue
 			}
@@ -44,7 +44,7 @@ func FuzzPageCodec(f *testing.F) {
 		// read back successfully.
 		for slot := 0; slot < pageNumSlots(data); slot++ {
 			if _, _, ok := slotBounds(data, slot); ok {
-				if _, rok := pageReadRow(data, slot); !rok {
+				if _, rok := pageReadRowAppend(data, slot, nil); !rok {
 					t.Fatalf("valid page: live slot %d unreadable", slot)
 				}
 			}

@@ -71,7 +71,8 @@ func (t *Table) CreateIndex(h *buffer.Handle, name string, keyOf IndexKeyFunc) e
 	// no table lock) and keeps the backfill atomic with respect to
 	// writers.
 	var err error
-	t.index.Ascend(func(pk uint64, meta rowMeta) bool {
+	t.index.Ascend(func(pk uint64, id uint32) bool {
+		meta := t.slots.at(id).meta(t.space)
 		if meta.tomb {
 			return true
 		}
@@ -106,8 +107,8 @@ func (t *Table) indexByName(name string) (*secondaryIndex, bool) {
 	return nil, false
 }
 
-// indexInsertLocked/indexDeleteLocked maintain all indexes; caller
-// holds t.mu.
+// indexInsertLocked, indexDeleteLocked and indexUpdateLocked maintain
+// all indexes; caller holds t.mu.
 func (t *Table) indexInsertLocked(pk uint64, row []byte) {
 	for _, ix := range t.loadIndexes() {
 		if key, ok := ix.keyOf(pk, row); ok {
@@ -120,6 +121,25 @@ func (t *Table) indexDeleteLocked(pk uint64, row []byte) {
 	for _, ix := range t.loadIndexes() {
 		if key, ok := ix.keyOf(pk, row); ok {
 			ix.remove(key, pk)
+		}
+	}
+}
+
+// indexUpdateLocked moves pk's postings from old's derived keys to
+// row's, touching only the indexes whose key changed: each add or
+// remove path-copies the posting tree and allocates a posting slice.
+func (t *Table) indexUpdateLocked(pk uint64, old, row []byte) {
+	for _, ix := range t.loadIndexes() {
+		k0, ok0 := ix.keyOf(pk, old)
+		k1, ok1 := ix.keyOf(pk, row)
+		if ok0 == ok1 && k0 == k1 {
+			continue
+		}
+		if ok0 {
+			ix.remove(k0, pk)
+		}
+		if ok1 {
+			ix.add(k1, pk)
 		}
 	}
 }
@@ -137,12 +157,8 @@ func (t *Table) IndexScan(h *buffer.Handle, name string, lo, hi uint64, fn func(
 	}
 	ix.tree.AscendRange(lo, hi, func(_ uint64, pks []uint64) bool {
 		for _, pk := range pks {
-			meta, ok := t.index.Get(pk)
-			if !ok || meta.tomb {
-				continue
-			}
-			row, err := t.readRID(h, meta.rid)
-			if err != nil {
+			row, found, err := t.resolveKey(h, pk, newestTS, nil)
+			if err != nil || !found {
 				continue // deleted or relocated since the snapshot
 			}
 			if !fn(pk, row) {

@@ -10,11 +10,18 @@ import (
 )
 
 // Multi-version concurrency: every key's NEWEST version stays inlined in
-// its slotted-page row (so the PR-3 lock-free point-read fast path is
-// untouched), and each write pushes the superseded inline image into an
-// append-only per-table version arena. The clustered index value
-// (rowMeta) carries the version timestamp and the head of the chain of
-// older versions.
+// its slotted-page row (so a point read is one page read), and each
+// write pushes the superseded inline image into an append-only
+// per-table version arena.
+//
+// The clustered index maps a key to a stable per-row slot id; only
+// inserting or removing a key changes the tree. The slot (rowSlot) holds
+// the key's mutable version words: where the newest version lives, its
+// timestamp, whether it is a tombstone, and the head of the chain of
+// older versions. Stamping, updating and GC rewrite those words in place
+// under a per-slot seqlock, so they neither allocate nor path-copy the
+// copy-on-write tree; lock-free readers copy the words between two
+// agreeing loads of the slot's sequence and so never see a torn meta.
 //
 // Timestamps come from the table's mvcc.Clock. A committed version's ts
 // is its commit timestamp; an in-flight transactional write holds a
@@ -30,24 +37,159 @@ import (
 // unreachable by every present and future reader and are freed in
 // place; fully-dead arena chunks are dropped wholesale.
 
-// uncommittedBit marks a rowMeta timestamp as an in-flight writer's
+// uncommittedBit marks a version timestamp as an in-flight writer's
 // marker; the low bits then carry the writer (transaction) id.
 const uncommittedBit = 1 << 63
 
 func tsCommitted(ts uint64) bool { return ts&uncommittedBit == 0 }
 
-// writeMarker is the meta timestamp an in-flight transactional write
-// installs until commit stamps it.
+// writeMarker is the timestamp an in-flight transactional write installs
+// until commit stamps it.
 func writeMarker(wid uint64) uint64 { return uncommittedBit | wid }
 
-// rowMeta is the clustered-index value: where the newest version lives,
-// its (commit or marker) timestamp, whether it is a deletion tombstone,
-// and the arena index (1-based; 0 = none) of the next-older version.
+// rowMeta is a key's version words as copied out of its slot: where the
+// newest version lives, its (commit or marker) timestamp, whether it is
+// a deletion tombstone, and the arena index (1-based; 0 = none) of the
+// next-older version.
 type rowMeta struct {
 	rid   RID
 	ts    uint64
 	older uint32
 	tomb  bool
+}
+
+// rowSlot holds one key's version words. Writers hold the table mutex
+// (and, for transactional writes, the row's exclusive lock) and rewrite
+// the words between two increments of seq; a page change that must
+// agree with the words (an in-place overwrite, a tombstoned page slot)
+// happens inside the same window. Readers outside the mutex use load.
+// key tags the slot with the key it serves: a slot freed when its key
+// leaves the index is reused for other keys, and a reader holding the
+// id from an older index snapshot detects that through the tag. Every
+// word is atomic, so the seqlock is visible to the race detector, and
+// the struct is pointer-free, so slot chunks are never scanned by the
+// garbage collector.
+type rowSlot struct {
+	seq   atomic.Uint32 // odd while a writer rewrites the words
+	older atomic.Uint32
+	key   atomic.Uint64
+	loc   atomic.Uint64 // page number<<17 | page slot<<1 | tomb
+	ts    atomic.Uint64
+}
+
+// freedMeta is what a freed slot holds: a tombstone at timestamp 0,
+// which every reader (read-committed or at any snapshot) resolves to
+// "not found" — the answer for a key that has left the index.
+var freedMeta = rowMeta{tomb: true}
+
+func (s *rowSlot) begin() { s.seq.Add(1) }
+func (s *rowSlot) end()   { s.seq.Add(1) }
+
+// set writes the words; the caller brackets it with begin/end.
+func (s *rowSlot) set(m rowMeta) {
+	loc := m.rid.Page.No<<17 | uint64(m.rid.Slot)<<1
+	if m.tomb {
+		loc |= 1
+	}
+	s.loc.Store(loc)
+	s.ts.Store(m.ts)
+	s.older.Store(m.older)
+}
+
+// store rewrites the words as one seqlock write.
+func (s *rowSlot) store(m rowMeta) {
+	s.begin()
+	s.set(m)
+	s.end()
+}
+
+// meta decodes the words. Without the table mutex the result may be
+// torn; lock-free readers use load.
+func (s *rowSlot) meta(space uint32) rowMeta {
+	loc := s.loc.Load()
+	return rowMeta{
+		rid:   RID{Page: buffer.PageID{Space: space, No: loc >> 17}, Slot: int(loc>>1) & 0xffff},
+		ts:    s.ts.Load(),
+		older: s.older.Load(),
+		tomb:  loc&1 != 0,
+	}
+}
+
+// load copies the words without the table mutex. ok is false when a
+// writer was rewriting them during the copy. Otherwise tag is the key
+// the slot served at that moment, and seq names the copied state: it
+// changes with every rewrite, so a later seq.Load() equal to it proves
+// the words (and any page change made inside a rewrite) are unchanged.
+func (s *rowSlot) load(space uint32) (m rowMeta, tag uint64, seq uint32, ok bool) {
+	seq = s.seq.Load()
+	if seq&1 != 0 {
+		return m, 0, seq, false
+	}
+	tag = s.key.Load()
+	m = s.meta(space)
+	return m, tag, seq, s.seq.Load() == seq
+}
+
+const (
+	slotChunkBits = 9
+	slotChunkSize = 1 << slotChunkBits
+	slotChunkMask = slotChunkSize - 1
+)
+
+type slotChunk [slotChunkSize]rowSlot
+
+// slotStore hands out rowSlots by id. Allocation, release and chunk
+// growth happen under the table mutex; readers resolve ids lock-free
+// through the atomically published chunk list (an id read from the
+// published index is always covered: the chunk list is published
+// before the id).
+type slotStore struct {
+	chunks atomic.Pointer[[]*slotChunk]
+	n      uint32   // ids ever handed out
+	free   []uint32 // released ids, reused LIFO
+}
+
+func (s *slotStore) at(id uint32) *rowSlot {
+	chunks := *s.chunks.Load()
+	return &chunks[id>>slotChunkBits][id&slotChunkMask]
+}
+
+// alloc returns the id of a slot now serving key with words m. Caller
+// holds the table mutex.
+func (s *slotStore) alloc(key uint64, m rowMeta) uint32 {
+	var id uint32
+	if n := len(s.free); n > 0 {
+		id = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		id = s.n
+		s.n++
+		var chunks []*slotChunk
+		if p := s.chunks.Load(); p != nil {
+			chunks = *p
+		}
+		if int(id>>slotChunkBits) == len(chunks) {
+			// Appending may write the shared backing array, but only
+			// past every published length, where no reader looks.
+			next := append(chunks, new(slotChunk))
+			s.chunks.Store(&next)
+		}
+	}
+	sl := s.at(id)
+	sl.begin()
+	sl.key.Store(key)
+	sl.set(m)
+	sl.end()
+	return id
+}
+
+// release frees a slot whose key has just left the index. Caller holds
+// the table mutex. A reader that still holds the id sees either the
+// freed words (not found) or another key's tag; either way it never
+// returns another key's row.
+func (s *slotStore) release(id uint32) {
+	s.at(id).store(freedMeta)
+	s.free = append(s.free, id)
 }
 
 // version is one superseded row image in the arena. All fields except
@@ -72,8 +214,8 @@ type versionChunk [versionChunkSize]version
 // versionArena is the append-only store for superseded versions.
 // Appends and frees happen under the table mutex; readers resolve
 // indexes lock-free through the atomically-published chunk list (a
-// version index obtained from a published rowMeta is always covered:
-// the arena write happens-before the index publication).
+// version index read from slot words is always covered: the arena
+// write happens-before the words that point at it are stored).
 type versionArena struct {
 	chunks atomic.Pointer[[]*versionChunk]
 
@@ -129,20 +271,17 @@ func (a *versionArena) free(idx uint32) {
 	a.chunkFreed[ci]++
 	if a.chunkFreed[ci] == versionChunkSize {
 		// Every slot in the chunk is dead: drop the chunk pointer so the
-		// whole block becomes collectible. Readers holding the old list
-		// never dereference freed slots, so a copy-on-write nil suffices.
-		old := *a.chunks.Load()
-		next := make([]*versionChunk, len(old))
-		copy(next, old)
-		next[ci] = nil
-		a.chunks.Store(&next)
+		// whole block becomes collectible. No reader dereferences a freed
+		// slot, so none loads this element again and it is cleared in
+		// place.
+		(*a.chunks.Load())[ci] = nil
 	}
 }
 
 // limboRef parks a version popped off a chain by an aborting
-// transaction: the version itself stays readable by scans that froze
-// the pre-abort index root, so it can only be freed once every reader
-// registered at or below safeAt has finished.
+// transaction: a reader that copied the slot words before the abort may
+// still walk its chain into the version, so it can only be freed once
+// every reader registered at or below safeAt has finished.
 type limboRef struct {
 	idx    uint32
 	safeAt uint64
@@ -184,16 +323,6 @@ func (t *Table) noteHistoryLocked(key uint64) {
 	t.hist[key] = struct{}{}
 }
 
-// pushVersionLocked moves the current inline version of meta onto the
-// arena chain, reading its row image first. Caller holds t.mu. Returns
-// the updated meta (older now points at the pushed copy).
-func (t *Table) pushVersionLocked(h *buffer.Handle, key uint64, meta rowMeta, row []byte) rowMeta {
-	cp := append([]byte(nil), row...)
-	meta.older = t.arena.push(meta.ts, cp, false, meta.older)
-	t.noteHistoryLocked(key)
-	return meta
-}
-
 // StampCommit resolves key's write marker to commit timestamp cts. The
 // engine calls it for every written key after the WAL made the
 // transaction durable and before the clock completes cts; idempotent
@@ -201,34 +330,31 @@ func (t *Table) pushVersionLocked(h *buffer.Handle, key uint64, meta rowMeta, ro
 func (t *Table) StampCommit(wid, key, cts uint64) {
 	m := writeMarker(wid)
 	t.mu.Lock()
-	meta, ok := t.index.Get(key)
-	if ok && meta.ts == m {
+	if id, meta, ok := t.slotOf(key); ok && meta.ts == m {
 		meta.ts = cts
-		t.index.Insert(key, meta)
+		t.slots.at(id).store(meta)
 	}
 	t.mu.Unlock()
 	t.noteCommit(cts)
 }
 
-// StampAbort restores key's pre-transaction version metadata after the
+// StampAbort restores key's pre-transaction version words after the
 // engine's undo pass rewrote the row image back. The chain head (the
 // version the transaction's first write pushed) is popped back inline;
-// the popped arena slot is parked in limbo until no scan that could
-// still reach it through a frozen index root remains.
+// the popped arena slot is parked in limbo until no reader that copied
+// the pre-abort words can still walk into it.
 func (t *Table) StampAbort(wid, key uint64) {
 	m := writeMarker(wid)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	meta, ok := t.index.Get(key)
+	id, meta, ok := t.slotOf(key)
 	if !ok || meta.ts != m {
 		return
 	}
 	if meta.older == 0 {
 		// An aborted fresh insert. The engine's undo pass deletes these
 		// before stamping, so this is defensive: drop the dangling key.
-		t.seq.Add(1)
-		t.index.Delete(key)
-		t.seq.Add(1)
+		t.dropKeyLocked(key, id)
 		if !meta.tomb {
 			t.live.Add(-1)
 		}
@@ -237,129 +363,105 @@ func (t *Table) StampAbort(wid, key uint64) {
 	}
 	v := t.arena.get(meta.older)
 	restored := rowMeta{rid: meta.rid, ts: v.ts, older: v.older.Load(), tomb: v.tomb}
-	t.index.Insert(key, restored)
+	t.slots.at(id).store(restored)
 	t.limbo = append(t.limbo, limboRef{idx: meta.older, safeAt: t.clock.ReadTS()})
 	if restored.older == 0 && !restored.tomb {
 		delete(t.hist, key)
 	}
 }
 
-// resolveSnapshot returns the row image visible at readTS for key,
-// appended to buf. hint (haveHint) is the enumerated meta from a frozen
-// index snapshot; a committed hint at or below readTS is authoritative
-// for WHICH version is visible (nothing newer at or below readTS can
-// exist once readTS was readable), only the bytes need locating. found
-// is false when the key has no visible non-tombstone version.
-func (t *Table) resolveSnapshot(h *buffer.Handle, key uint64, hint rowMeta, haveHint bool, readTS uint64, buf []byte) (out []byte, found bool, err error) {
-	base := len(buf)
-	if haveHint && tsCommitted(hint.ts) && hint.ts <= readTS {
-		if hint.tomb {
-			return buf, false, nil
-		}
-		// Fast path: the inline slot still holds this exact version.
-		fr, ferr := h.Fetch(hint.rid.Page)
-		if ferr == nil {
-			fr.Latch()
-			got, ok := pageReadRowAppend(fr.Data(), hint.rid.Slot, buf[:base])
-			fr.Unlatch()
-			fr.Release()
-			if ok {
-				cur, curOK := t.index.Get(key)
-				if curOK && cur.ts == hint.ts && cur.rid == hint.rid {
-					return got, true, nil
-				}
-			}
-		}
-		// The fast path failed: the slot moved on (overwritten,
-		// relocated, or tombstoned by a newer write) or the page read
-		// itself errored. The visible version may still be the INLINE
-		// one — a concurrent update that relocated the row and then
-		// ABORTED restores the hint's timestamp at a new rid, and a
-		// transient fetch error leaves the current meta equal to the
-		// hint — so a committed current meta at or below readTS must be
-		// resolved inline under the lock (which also surfaces a
-		// persistent I/O error instead of a silently-wrong chain walk).
-		// Only an uncommitted or too-new current meta proves the visible
-		// version lives on the chain.
-		cur, ok := t.index.Get(key)
-		if !ok || (tsCommitted(cur.ts) && cur.ts <= readTS) {
-			return t.resolveSnapshotSlow(h, key, readTS, buf[:base])
-		}
-		return t.walkChain(key, cur, readTS, buf[:base])
-	}
+// newestTS is the readTS that asks resolve for the newest inline
+// version whatever its timestamp (the read-committed Get and Scan).
+const newestTS = ^uint64(0)
 
-	// No usable hint: resolve through the current meta.
-	for attempt := 0; attempt < optimisticRetries; attempt++ {
-		cur, ok := t.index.Get(key)
-		if !ok {
-			return buf, false, nil
-		}
-		if !tsCommitted(cur.ts) || cur.ts > readTS {
-			return t.walkChain(key, cur, readTS, buf[:base])
-		}
-		if cur.tomb {
-			return buf, false, nil
-		}
-		fr, ferr := h.Fetch(cur.rid.Page)
-		if ferr != nil {
-			return buf, false, fmt.Errorf("storage %s: %w", t.name, ferr)
-		}
-		fr.Latch()
-		got, ok := pageReadRowAppend(fr.Data(), cur.rid.Slot, buf[:base])
-		fr.Unlatch()
-		fr.Release()
-		if !ok {
-			continue // relocated or tombstoned between lookup and read
-		}
-		cur2, ok2 := t.index.Get(key)
-		if ok2 && cur2.ts == cur.ts && cur2.rid == cur.rid {
-			return got, true, nil
-		}
-		// The meta changed under the read; replay.
-	}
-	return t.resolveSnapshotSlow(h, key, readTS, buf[:base])
+// inlineVisible reports whether the inline version described by m is
+// the one a reader at readTS resolves (tombstone or not); otherwise the
+// visible version, if any, is on the chain.
+func inlineVisible(m rowMeta, readTS uint64) bool {
+	return readTS == newestTS || tsCommitted(m.ts) && m.ts <= readTS
 }
 
-// resolveSnapshotSlow re-resolves under the shared lock, which excludes
-// every writer (all write paths hold t.mu exclusively).
-func (t *Table) resolveSnapshotSlow(h *buffer.Handle, key uint64, readTS uint64, buf []byte) ([]byte, bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cur, ok := t.index.Get(key)
+// resolveKey is resolve for a key whose slot id is not yet known.
+func (t *Table) resolveKey(h *buffer.Handle, key, readTS uint64, buf []byte) ([]byte, bool, error) {
+	id, ok := t.index.Get(key)
 	if !ok {
 		return buf, false, nil
 	}
-	if tsCommitted(cur.ts) && cur.ts <= readTS {
-		if cur.tomb {
+	return t.resolve(h, key, id, readTS, buf)
+}
+
+// resolve appends the row image of key visible at readTS to buf; id is
+// the slot the index mapped key to (possibly in an older index
+// snapshot). found is false when the key has no visible non-tombstone
+// version. The slot words are copied under the seqlock and an inline
+// image is accepted only if the words are unchanged after the page
+// read, so the bytes and the timestamp always belong to one version. A
+// reader that keeps losing races with writers falls back to the shared
+// lock.
+func (t *Table) resolve(h *buffer.Handle, key uint64, id uint32, readTS uint64, buf []byte) (out []byte, found bool, err error) {
+	s := t.slots.at(id)
+	for attempt := 0; attempt < optimisticRetries; attempt++ {
+		m, tag, seq, ok := s.load(t.space)
+		if !ok {
+			continue // a writer is mid-rewrite
+		}
+		if tag != key {
+			// The slot was freed (its key left the index) and reused
+			// since the index lookup.
 			return buf, false, nil
 		}
-		fr, err := h.Fetch(cur.rid.Page)
+		if !inlineVisible(m, readTS) {
+			return t.walkChain(m.older, readTS, buf)
+		}
+		if m.tomb {
+			return buf, false, nil
+		}
+		got, ok, err := t.readInto(h, m.rid, buf)
 		if err != nil {
-			return buf, false, fmt.Errorf("storage %s: %w", t.name, err)
+			return buf, false, err
 		}
-		fr.Latch()
-		got, ok := pageReadRowAppend(fr.Data(), cur.rid.Slot, buf)
-		fr.Unlatch()
-		fr.Release()
-		if !ok {
-			return buf, false, fmt.Errorf("storage %s: key %d: visible version has dead slot", t.name, key)
+		if ok && s.seq.Load() == seq {
+			return got, true, nil
 		}
-		return got, true, nil
+		// The version moved on during the page read; replay.
 	}
-	return t.walkChain(key, cur, readTS, buf)
+	return t.resolveLocked(h, key, readTS, buf)
+}
+
+// resolveLocked is resolve under the shared lock, which excludes every
+// writer (all write paths hold t.mu exclusively).
+func (t *Table) resolveLocked(h *buffer.Handle, key uint64, readTS uint64, buf []byte) ([]byte, bool, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, m, ok := t.slotOf(key)
+	if !ok {
+		return buf, false, nil
+	}
+	if !inlineVisible(m, readTS) {
+		return t.walkChain(m.older, readTS, buf)
+	}
+	if m.tomb {
+		return buf, false, nil
+	}
+	got, ok, err := t.readInto(h, m.rid, buf)
+	if err != nil {
+		return buf, false, err
+	}
+	if !ok {
+		return buf, false, fmt.Errorf("storage %s: key %d: visible version has dead slot", t.name, key)
+	}
+	return got, true, nil
 }
 
 // walkChain finds the newest chain version at or below readTS, starting
-// from cur's older pointer. Chain entries are immutable and the walk
-// never reaches a GC-freed slot: every entry it inspects has ts above
-// the low-water mark (readTS >= low water for any registered reader),
-// and GC only frees strictly below the per-chain keep boundary.
-func (t *Table) walkChain(key uint64, cur rowMeta, readTS uint64, buf []byte) ([]byte, bool, error) {
+// at arena index idx. Chain entries are immutable and the walk never
+// reaches a GC-freed slot: every entry it inspects has ts above the
+// low-water mark (readTS >= low water for any registered reader), and
+// GC only frees strictly below the per-chain keep boundary.
+func (t *Table) walkChain(idx uint32, readTS uint64, buf []byte) ([]byte, bool, error) {
 	start := time.Now()
 	steps := int64(0)
-	idx := cur.older
-	var out []byte
-	found := false
+	out, found := buf, false
 	for idx != 0 {
 		v := t.arena.get(idx)
 		steps++
@@ -374,10 +476,7 @@ func (t *Table) walkChain(key uint64, cur rowMeta, readTS uint64, buf []byte) ([
 	t.walks.Add(1)
 	t.walkSteps.Add(steps)
 	t.mv.Walk(steps, time.Since(start))
-	if !found {
-		return buf, false, nil
-	}
-	return out, true, nil
+	return out, found, nil
 }
 
 // SnapshotGet returns a copy of the row visible at readTS.
@@ -395,7 +494,7 @@ func (t *Table) SnapshotGet(h *buffer.Handle, key, readTS uint64) ([]byte, error
 // ErrKeyNotFound when the key has no visible version. readTS must come
 // from the table clock's BeginRead (or be <= its ReadTS watermark).
 func (t *Table) SnapshotGetInto(h *buffer.Handle, key, readTS uint64, buf []byte) ([]byte, error) {
-	out, found, err := t.resolveSnapshot(h, key, rowMeta{}, false, readTS, buf)
+	out, found, err := t.resolveKey(h, key, readTS, buf)
 	if err != nil {
 		return buf, err
 	}
@@ -413,16 +512,17 @@ type SnapIter struct {
 	t      *Table
 	h      *buffer.Handle
 	readTS uint64
-	it     btree.RangeIter[rowMeta]
+	it     btree.RangeIter[uint32]
 	buf    []byte
 	err    error
 }
 
 // NewSnapshotIter returns an iterator over the rows with keys in
 // [lo, hi] visible at readTS. The key enumeration is frozen at the
-// index root published now; version resolution is per-row (versions at
-// or below readTS are immutable, so the result equals the state at
-// readTS regardless of concurrent writers).
+// index root published now (every key committed at or below readTS is
+// in it); each key's version is resolved from its slot's current words
+// when Next reaches it, so the result equals the state at readTS
+// regardless of concurrent writers.
 func (t *Table) NewSnapshotIter(h *buffer.Handle, lo, hi, readTS uint64) *SnapIter {
 	return &SnapIter{t: t, h: h, readTS: readTS, it: t.index.NewRangeIter(lo, hi)}
 }
@@ -434,11 +534,11 @@ func (it *SnapIter) Next() (key uint64, row []byte, ok bool) {
 		return 0, nil, false
 	}
 	for {
-		k, meta, more := it.it.Next()
+		k, id, more := it.it.Next()
 		if !more {
 			return 0, nil, false
 		}
-		out, found, err := it.t.resolveSnapshot(it.h, k, meta, true, it.readTS, it.buf[:0])
+		out, found, err := it.t.resolve(it.h, k, id, it.readTS, it.buf[:0])
 		if err != nil {
 			it.err = err
 			return 0, nil, false
@@ -518,7 +618,7 @@ func (it *SnapIndexIter) Next() (pk uint64, row []byte, ok bool) {
 		}
 		pk = it.postings[it.pos]
 		it.pos++
-		out, found, err := it.t.resolveSnapshot(it.h, pk, rowMeta{}, false, it.readTS, it.buf[:0])
+		out, found, err := it.t.resolveKey(it.h, pk, it.readTS, it.buf[:0])
 		if err != nil {
 			it.err = err
 			return 0, nil, false
@@ -557,16 +657,17 @@ func (t *Table) SnapshotIndexScan(h *buffer.Handle, name string, lo, hi, readTS 
 // GC frees every version unreachable at low-water timestamp lw (from
 // the clock's LowWater): per chain, everything strictly older than the
 // first version at or below lw; committed tombstones at or below lw
-// leave the index entirely; limbo versions whose frozen-root readers
-// are provably gone. Returns the number of versions freed. Runs under
-// the table mutex (writers briefly excluded; readers unaffected).
+// leave the index entirely (their slots are released for reuse); limbo
+// versions no reader can still reach. Returns the number of versions
+// freed. Runs under the table mutex (writers briefly excluded; readers
+// unaffected).
 func (t *Table) GC(lw uint64) (freed int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gcRuns.Add(1)
 
 	// Limbo: a parked version is dead once every reader that could hold
-	// a pre-abort index root (readTS <= safeAt) has unregistered.
+	// the pre-abort slot words (readTS <= safeAt) has unregistered.
 	if len(t.limbo) > 0 {
 		keep := t.limbo[:0]
 		for _, le := range t.limbo {
@@ -581,7 +682,7 @@ func (t *Table) GC(lw uint64) (freed int) {
 	}
 
 	for key := range t.hist {
-		meta, ok := t.index.Get(key)
+		id, meta, ok := t.slotOf(key)
 		if !ok {
 			delete(t.hist, key)
 			continue
@@ -592,13 +693,10 @@ func (t *Table) GC(lw uint64) (freed int) {
 			freed += t.freeChainLocked(meta.older)
 			if meta.tomb {
 				// No reader at or above lw can see anything for this key.
-				t.index.Delete(key)
-				delete(t.hist, key)
-				continue
-			}
-			if meta.older != 0 {
+				t.dropKeyLocked(key, id)
+			} else if meta.older != 0 {
 				meta.older = 0
-				t.index.Insert(key, meta)
+				t.slots.at(id).store(meta)
 			}
 			delete(t.hist, key)
 			continue

@@ -154,11 +154,11 @@ func TestTxnMarkerVisibility(t *testing.T) {
 	}
 }
 
-// TestSnapshotHintSurvivesAbortedRelocation: a frozen index root hints
-// {t1, oldRID}; a concurrent transaction relocates the row (tombstoning
-// the hinted slot) and then ABORTS, so StampAbort restores timestamp t1
-// inline at the NEW rid with an empty chain. The snapshot read must
-// resolve the inline version — a chain walk from the restored meta
+// TestSnapshotHintSurvivesAbortedRelocation: a snapshot scan is opened
+// while key 2 is at {t1, oldRID}; a concurrent transaction relocates the
+// row (tombstoning oldRID) and then ABORTS, so StampAbort restores
+// timestamp t1 inline at the NEW rid with an empty chain. The scan must
+// resolve the inline version — a chain walk from the restored words
 // would skip it and lose the row.
 func TestSnapshotHintSurvivesAbortedRelocation(t *testing.T) {
 	tab, h := newMVCCTable(t)
@@ -170,7 +170,7 @@ func TestSnapshotHintSurvivesAbortedRelocation(t *testing.T) {
 	}
 	r := clock.BeginRead()
 	defer clock.EndRead(r)
-	it := tab.NewSnapshotIter(h, 0, ^uint64(0), r) // hints frozen here
+	it := tab.NewSnapshotIter(h, 0, ^uint64(0), r) // key enumeration frozen here
 
 	// Grow key 2 past its slot (forces relocation), then abort: the
 	// undo write shrinks the image back in place and StampAbort pops the
@@ -280,14 +280,14 @@ func TestEmptyRowRejected(t *testing.T) {
 	if err := tab.Insert(h, 1, val(1)); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := tab.index.Get(1)
+	_, before, _ := tab.slotOf(1)
 	if err := tab.Update(h, 1, []byte{}); !errors.Is(err, ErrEmptyRow) {
 		t.Fatalf("Update(empty): %v, want ErrEmptyRow", err)
 	}
 	if err := tab.UpdateTxn(h, 7, 1, nil); !errors.Is(err, ErrEmptyRow) {
 		t.Fatalf("UpdateTxn(empty): %v, want ErrEmptyRow", err)
 	}
-	after, _ := tab.index.Get(1)
+	_, after, _ := tab.slotOf(1)
 	if after != before {
 		t.Fatalf("meta changed across rejected empty updates: %+v -> %+v", before, after)
 	}

@@ -93,19 +93,8 @@ func slotBounds(data []byte, slot int) (off, length int, ok bool) {
 	return off, length, true
 }
 
-// pageReadRow copies the row in slot out of the page.
-func pageReadRow(data []byte, slot int) ([]byte, bool) {
-	off, length, ok := slotBounds(data, slot)
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, length)
-	copy(out, data[off:off+length])
-	return out, true
-}
-
-// pageReadRowAppend appends the row in slot to buf, avoiding the
-// allocation pageReadRow pays for its fresh copy.
+// pageReadRowAppend appends the row in slot to buf (with a nil buf, a
+// fresh copy).
 func pageReadRowAppend(data []byte, slot int, buf []byte) ([]byte, bool) {
 	off, length, ok := slotBounds(data, slot)
 	if !ok {

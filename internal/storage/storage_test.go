@@ -47,14 +47,14 @@ func TestPageBasics(t *testing.T) {
 	if pageFreeSpace(data) >= free0 {
 		t.Fatal("free space did not shrink")
 	}
-	got, ok := pageReadRow(data, s1)
+	got, ok := pageReadRowAppend(data, s1, nil)
 	if !ok || string(got) != "hello" {
 		t.Fatalf("read slot1 = %q, %v", got, ok)
 	}
 	if !pageUpdateRowInPlace(data, s1, []byte("HELLO")) {
 		t.Fatal("same-size update failed")
 	}
-	got, _ = pageReadRow(data, s1)
+	got, _ = pageReadRowAppend(data, s1, nil)
 	if string(got) != "HELLO" {
 		t.Fatalf("after update: %q", got)
 	}
@@ -64,13 +64,13 @@ func TestPageBasics(t *testing.T) {
 	if !pageDeleteRow(data, s1) {
 		t.Fatal("delete failed")
 	}
-	if _, ok := pageReadRow(data, s1); ok {
+	if _, ok := pageReadRowAppend(data, s1, nil); ok {
 		t.Fatal("read of dead slot succeeded")
 	}
 	if pageDeleteRow(data, s1) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := pageReadRow(data, 99); ok {
+	if _, ok := pageReadRowAppend(data, 99, nil); ok {
 		t.Fatal("out-of-range slot read")
 	}
 }
@@ -91,7 +91,7 @@ func TestPageFillsUp(t *testing.T) {
 	}
 	// Every inserted row must still read back.
 	for s := 0; s < inserted; s++ {
-		if got, ok := pageReadRow(data, s); !ok || string(got) != "0123456789" {
+		if got, ok := pageReadRowAppend(data, s, nil); !ok || string(got) != "0123456789" {
 			t.Fatalf("slot %d corrupt after fill: %q %v", s, got, ok)
 		}
 	}

@@ -33,23 +33,25 @@ type RID struct {
 
 // Table is a multi-versioned heap table with a clustered B+-tree index
 // on a uint64 primary key. Row images are opaque byte slices (see
-// RowBuilder). The index maps each key to rowMeta: the newest version's
-// location and timestamp plus its chain of older versions in the
-// version arena (see mvcc.go).
+// RowBuilder). The index maps each key to a stable slot id; the slot
+// (see rowSlot in mvcc.go) holds the key's version words: the newest
+// version's location and timestamp, its tombstone flag, and the head of
+// its chain of older versions in the version arena.
 //
-// Reads are optimistic: the clustered index is a copy-on-write tree
-// whose snapshots readers traverse lock-free, and a table-level
-// sequence counter validates that the index lookup and the page read
-// observed the same structural version (the seqlock pattern). Only the
-// operations that tombstone a slot — Delete and relocating Updates —
-// bump the sequence; Insert and in-place Update do not, because a row's
-// page image is in place before the index publishes its RID (and an
-// in-place overwrite publishes its new meta under the page latch before
-// touching bytes), so bulk loads never knock readers off the fast path.
-// A reader that keeps losing the race falls back to the shared lock,
-// which fully excludes structural writers.
+// Reads are optimistic. The clustered index is a copy-on-write tree
+// whose snapshots readers traverse lock-free, and only inserting or
+// removing a key changes it. Every other write — update, delete,
+// stamp, GC truncation — rewrites the key's slot words in place under
+// the slot's seqlock, together with any page change that must agree
+// with them (an in-place overwrite, a tombstoned page slot). A reader
+// copies the words under the seqlock, reads the page, and accepts the
+// bytes only if the slot's sequence did not move, so it never pairs one
+// version's bytes with another version's words. Insert needs no
+// seqlock window for the page: a row's image is in place before its
+// words point at it. A reader that keeps losing the race falls back to
+// the shared lock, which fully excludes writers.
 //
-// Physical consistency is internal (seqlock + page latches); isolation
+// Physical consistency is internal (seqlocks + page latches); isolation
 // between transactions touching the same key is the caller's
 // responsibility via the lock manager — except snapshot reads
 // (SnapshotGetInto / SnapshotScan), whose visibility is a pure
@@ -61,15 +63,13 @@ type Table struct {
 	clock *mvcc.Clock
 	mv    *obs.MVCCMetrics
 
-	// seq is the structural version: odd while a tombstoning writer is
-	// inside its critical section, even otherwise. Writers bump it
-	// (twice) while holding mu.
-	seq atomic.Uint64
-
-	// index maps primary key to version metadata. The tree is internally
+	// index maps primary key to slot id. The tree is internally
 	// copy-on-write: lock-free readers always see a consistent
 	// snapshot; writers are serialized by mu.
-	index *btree.Tree[rowMeta]
+	index *btree.Tree[uint32]
+
+	// slots holds each indexed key's version words (mvcc.go).
+	slots slotStore
 
 	// idxs is the immutable secondary-index list, replaced wholesale by
 	// CreateIndex (copy-on-write under mu).
@@ -123,7 +123,7 @@ func NewTableWithClock(name string, space uint32, pool *buffer.Pool, clock *mvcc
 		pool:  pool,
 		clock: clock,
 		mv:    mv,
-		index: btree.New[rowMeta](0),
+		index: btree.New[uint32](0),
 	}
 }
 
@@ -207,7 +207,7 @@ func (t *Table) InsertTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 // insertLocked installs a new version under key with timestamp ts
 // (commit ts or write marker). Caller holds t.mu.
 func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error {
-	meta, ok := t.index.Get(key)
+	id, meta, ok := t.slotOf(key)
 	if ok {
 		if !meta.tomb {
 			return ErrDuplicateKey
@@ -224,14 +224,14 @@ func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 		rid, err := t.placeRowLocked(h, row)
 		if err != nil {
 			if pushed != 0 {
-				// Unpublished (the index still holds the tombstone meta):
+				// Unpublished (the slot still holds the tombstone words):
 				// free it so arena gauges stay equal to what is reachable.
 				t.arena.free(pushed)
 			}
 			return err
 		}
 		meta.rid, meta.ts, meta.tomb = rid, ts, false
-		t.index.Insert(key, meta)
+		t.slots.at(id).store(meta)
 		t.noteHistoryLocked(key)
 		t.live.Add(1)
 		t.indexInsertLocked(key, row)
@@ -241,13 +241,28 @@ func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	if err != nil {
 		return err
 	}
-	// The page image is written before the index publishes the RID, so
-	// optimistic readers either miss the key or see a complete row; no
-	// seq bump is needed.
-	t.index.Insert(key, rowMeta{rid: rid, ts: ts})
+	// The page image is written before the index publishes the slot, so
+	// optimistic readers either miss the key or see a complete row.
+	t.index.Insert(key, t.slots.alloc(key, rowMeta{rid: rid, ts: ts}))
 	t.live.Add(1)
 	t.indexInsertLocked(key, row)
 	return nil
+}
+
+// slotOf returns key's slot id and version words. Caller holds t.mu.
+func (t *Table) slotOf(key uint64) (uint32, rowMeta, bool) {
+	id, ok := t.index.Get(key)
+	if !ok {
+		return 0, rowMeta{}, false
+	}
+	return id, t.slots.at(id).meta(t.space), true
+}
+
+// dropKeyLocked removes key from the index and releases its slot for
+// reuse. Caller holds t.mu.
+func (t *Table) dropKeyLocked(key uint64, id uint32) {
+	t.index.Delete(key)
+	t.slots.release(id)
 }
 
 // placeRowLocked finds space for a row, allocating pages as needed.
@@ -310,67 +325,31 @@ func (t *Table) Get(h *buffer.Handle, key uint64) ([]byte, error) {
 // returns the extended slice. With a buf of sufficient capacity the
 // read path does not allocate. On error buf is returned unchanged.
 func (t *Table) GetInto(h *buffer.Handle, key uint64, buf []byte) ([]byte, error) {
-	base := len(buf)
-	for attempt := 0; attempt < optimisticRetries; attempt++ {
-		s1 := t.seq.Load()
-		if s1&1 != 0 {
-			continue // a tombstoning writer is mid-section
-		}
-		meta, ok := t.index.Get(key)
-		if !ok || meta.tomb {
-			if t.seq.Load() == s1 {
-				return buf, ErrKeyNotFound
-			}
-			continue
-		}
-		fr, err := h.Fetch(meta.rid.Page)
-		if err != nil {
-			if t.seq.Load() == s1 {
-				return buf, fmt.Errorf("storage %s: %w", t.name, err)
-			}
-			continue
-		}
-		fr.Latch()
-		out, ok := pageReadRowAppend(fr.Data(), meta.rid.Slot, buf[:base])
-		fr.Unlatch()
-		fr.Release()
-		if t.seq.Load() != s1 || !ok {
-			continue // the row moved under us; replay
-		}
-		return out, nil
-	}
-
-	// Fallback: hold the shared lock across the index lookup and the
-	// page read, fully excluding structural writers.
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	meta, ok := t.index.Get(key)
-	if !ok || meta.tomb {
-		return buf, ErrKeyNotFound
-	}
-	fr, err := h.Fetch(meta.rid.Page)
-	if err != nil {
-		return buf, fmt.Errorf("storage %s: %w", t.name, err)
-	}
-	fr.Latch()
-	out, ok := pageReadRowAppend(fr.Data(), meta.rid.Slot, buf[:base])
-	fr.Unlatch()
-	fr.Release()
-	if !ok {
-		return buf, ErrKeyNotFound
-	}
-	return out, nil
+	// At newestTS the snapshot read returns the inline version, whatever
+	// its timestamp.
+	return t.SnapshotGetInto(h, key, newestTS, buf)
 }
 
-func (t *Table) readRID(h *buffer.Handle, rid RID) ([]byte, error) {
+// readInto appends the row image at rid to buf; ok is false when the
+// page slot is dead.
+func (t *Table) readInto(h *buffer.Handle, rid RID, buf []byte) ([]byte, bool, error) {
 	fr, err := h.Fetch(rid.Page)
 	if err != nil {
-		return nil, fmt.Errorf("storage %s: %w", t.name, err)
+		return buf, false, fmt.Errorf("storage %s: %w", t.name, err)
 	}
 	fr.Latch()
-	row, ok := pageReadRow(fr.Data(), rid.Slot)
+	out, ok := pageReadRowAppend(fr.Data(), rid.Slot, buf)
 	fr.Unlatch()
 	fr.Release()
+	return out, ok, nil
+}
+
+// readRID copies the row image at rid.
+func (t *Table) readRID(h *buffer.Handle, rid RID) ([]byte, error) {
+	row, ok, err := t.readInto(h, rid, nil)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, ErrKeyNotFound
 	}
@@ -417,7 +396,7 @@ func (t *Table) UpdateTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 // relocating the row if the new image no longer fits in place. Caller
 // holds t.mu.
 func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error {
-	meta, ok := t.index.Get(key)
+	id, meta, ok := t.slotOf(key)
 	if !ok || meta.tomb {
 		return ErrKeyNotFound
 	}
@@ -428,20 +407,19 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	prevOlder := meta.older
 	pushed := uint32(0)
 	if meta.ts != ts {
-		// First write of this version: preserve the superseded image.
-		// (A transaction overwriting its own uncommitted write replaces
-		// the bytes without growing the chain.)
-		cp := append([]byte(nil), old...)
-		meta.older = t.arena.push(meta.ts, cp, false, meta.older)
+		// First write of this version: the superseded image (old is this
+		// call's own copy) moves to the chain. A transaction overwriting
+		// its own uncommitted write replaces the bytes without growing
+		// the chain.
+		meta.older = t.arena.push(meta.ts, old, false, meta.older)
 		pushed = meta.older
 		t.noteHistoryLocked(key)
 	}
 	meta.ts = ts
 	// undoPush reverses this call's arena push when a later step fails:
-	// the new meta was never published (the index still holds the
-	// pre-call entry), so the pushed version is unreachable by every
-	// reader and freeing it keeps the arena gauges equal to what chains
-	// and limbo can reach.
+	// the new words were never stored, so the pushed version is
+	// unreachable by every reader and freeing it keeps the arena gauges
+	// equal to what chains and limbo can reach.
 	undoPush := func() {
 		if pushed == 0 {
 			return
@@ -452,34 +430,35 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 		}
 	}
 
+	s := t.slots.at(id)
 	fr, err := h.Fetch(meta.rid.Page)
 	if err != nil {
 		undoPush()
 		return fmt.Errorf("storage %s: %w", t.name, err)
 	}
-	// In-place path: publish the new meta and overwrite the bytes under
-	// ONE page-latch hold, so a snapshot reader can never pair the new
-	// bytes with the old timestamp (its latched read orders against this
-	// section, and its meta re-check sees the new meta).
-	inPlace := false
+	// In-place path: rewrite the words and overwrite the bytes inside
+	// one seqlock window, so a reader can never pair the new bytes with
+	// the old timestamp (its sequence re-check sees the rewrite).
 	fr.Latch()
-	if _, length, ok := slotBounds(fr.Data(), meta.rid.Slot); ok && len(row) <= length {
-		t.index.Insert(key, meta)
+	_, length, inPlace := slotBounds(fr.Data(), meta.rid.Slot)
+	inPlace = inPlace && len(row) <= length
+	if inPlace {
+		s.begin()
+		s.set(meta)
 		pageUpdateRowInPlace(fr.Data(), meta.rid.Slot, row)
-		inPlace = true
+		s.end()
 	}
 	fr.Unlatch()
 	if inPlace {
 		fr.MarkDirty()
 		fr.Release()
-		t.indexDeleteLocked(key, old)
-		t.indexInsertLocked(key, row)
+		t.indexUpdateLocked(key, old, row)
 		return nil
 	}
 	fr.Release()
 
-	// Relocate: place the new image, publish the new meta, then
-	// tombstone the old slot inside a seqlock critical section.
+	// Relocate: place the new image, then point the words at it and
+	// tombstone the old page slot inside one seqlock window.
 	oldRID := meta.rid
 	newRID, err := t.placeRowLocked(h, row)
 	if err != nil {
@@ -489,8 +468,8 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	fr2, err := h.Fetch(oldRID.Page)
 	if err != nil {
 		undoPush()
-		// Drop the just-placed copy too: its rid was never published, so
-		// no reader can hold it.
+		// Drop the just-placed copy too: the words never pointed at it,
+		// so no reader can hold it.
 		if nf, nerr := h.Fetch(newRID.Page); nerr == nil {
 			nf.Latch()
 			pageDeleteRow(nf.Data(), newRID.Slot)
@@ -501,16 +480,15 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 		return fmt.Errorf("storage %s: %w", t.name, err)
 	}
 	meta.rid = newRID
-	t.seq.Add(1)
-	t.index.Insert(key, meta)
+	s.begin()
+	s.set(meta)
 	fr2.Latch()
 	pageDeleteRow(fr2.Data(), oldRID.Slot)
 	fr2.Unlatch()
+	s.end()
 	fr2.MarkDirty()
-	t.seq.Add(1)
 	fr2.Release()
-	t.indexDeleteLocked(key, old)
-	t.indexInsertLocked(key, row)
+	t.indexUpdateLocked(key, old, row)
 	return nil
 }
 
@@ -538,12 +516,12 @@ func (t *Table) DeleteTxn(h *buffer.Handle, wid, key uint64) error {
 	return err
 }
 
-// deleteLocked tombstones key at timestamp ts. The index update and the
-// page tombstone happen inside one seqlock critical section so an
-// optimistic reader can never see the dead slot with a stable sequence.
+// deleteLocked tombstones key at timestamp ts. The new words and the
+// page tombstone are written inside one seqlock window so an optimistic
+// reader can never see the dead page slot with a stable sequence.
 // Caller holds t.mu.
 func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
-	meta, ok := t.index.Get(key)
+	id, meta, ok := t.slotOf(key)
 	if !ok || meta.tomb {
 		return ErrKeyNotFound
 	}
@@ -556,37 +534,29 @@ func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
 	if err != nil {
 		return fmt.Errorf("storage %s: %w", t.name, err)
 	}
-	if meta.ts == ts && meta.older == 0 {
-		// The key was created by this same uncommitted transaction and
-		// has no prior version: no reader at any timestamp may see it, so
-		// drop it outright (this is also the undo path for an aborted
-		// insert).
-		t.seq.Add(1)
-		t.index.Delete(key)
-		fr.Latch()
-		pageDeleteRow(fr.Data(), meta.rid.Slot)
-		fr.Unlatch()
-		fr.MarkDirty()
-		t.seq.Add(1)
-		fr.Release()
-		t.live.Add(-1)
-		delete(t.hist, key)
-		return nil
-	}
-	if meta.ts != ts {
-		cp := append([]byte(nil), old...)
-		meta.older = t.arena.push(meta.ts, cp, false, meta.older)
+	// A key created by this same uncommitted transaction with no prior
+	// version is visible to no reader at any timestamp, so it leaves the
+	// index outright (this is also the undo path for an aborted insert).
+	fresh := meta.ts == ts && meta.older == 0
+	if !fresh && meta.ts != ts {
+		meta.older = t.arena.push(meta.ts, old, false, meta.older)
 	}
 	meta.ts, meta.tomb = ts, true
-	t.seq.Add(1)
-	t.index.Insert(key, meta)
+	s := t.slots.at(id)
+	s.begin()
+	s.set(meta)
 	fr.Latch()
 	pageDeleteRow(fr.Data(), meta.rid.Slot)
 	fr.Unlatch()
+	s.end()
 	fr.MarkDirty()
-	t.seq.Add(1)
 	fr.Release()
 	t.live.Add(-1)
+	if fresh {
+		t.dropKeyLocked(key, id)
+		delete(t.hist, key)
+		return nil
+	}
 	t.noteHistoryLocked(key)
 	return nil
 }
@@ -596,25 +566,19 @@ func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
 // index snapshot without taking the table lock and reads each key's
 // newest inline version, so rows committed, deleted, or relocated
 // mid-scan may or may not appear — each row image is individually
-// latch-consistent, but the scan as a whole is no single point in
-// time. Use SnapshotScan for a frozen-timestamp view. The row images
-// passed to fn are copies.
+// consistent, but the scan as a whole is no single point in time. Use
+// SnapshotScan for a frozen-timestamp view. The row images passed to fn
+// are copies.
 func (t *Table) Scan(h *buffer.Handle, lo, hi uint64, fn func(key uint64, row []byte) bool) error {
 	var err error
-	t.index.AscendRange(lo, hi, func(k uint64, meta rowMeta) bool {
-		if meta.tomb {
-			return true
-		}
+	t.index.AscendRange(lo, hi, func(k uint64, id uint32) bool {
 		var row []byte
-		row, err = t.readRID(h, meta.rid)
-		if errors.Is(err, ErrKeyNotFound) {
-			err = nil
-			return true // deleted or relocated since the snapshot
-		}
+		var found bool
+		row, found, err = t.resolve(h, k, id, newestTS, nil)
 		if err != nil {
 			return false
 		}
-		return fn(k, row)
+		return !found || fn(k, row)
 	})
 	return err
 }
